@@ -32,21 +32,27 @@ class Interconnect:
     edges: FrozenSet[Tuple[int, int]]
 
     def __post_init__(self) -> None:
+        preds: List[Set[int]] = [{fu} for fu in range(self.n_units)]
+        succs: List[Set[int]] = [{fu} for fu in range(self.n_units)]
         for src, dst in self.edges:
             if not (0 <= src < self.n_units and 0 <= dst < self.n_units):
                 raise ValueError("edge (%d, %d) out of range" % (src, dst))
+            preds[dst].add(src)
+            succs[src].add(dst)
+        # Neighbour lists are derived once here (the scheduler's router
+        # asks for them hundreds of thousands of times per compile); they
+        # are not dataclass fields, so equality, hashing and the
+        # architecture fingerprint still see only ``edges``.
+        object.__setattr__(self, "_preds", tuple(tuple(sorted(p)) for p in preds))
+        object.__setattr__(self, "_succs", tuple(tuple(sorted(s)) for s in succs))
 
     def predecessors(self, fu: int) -> List[int]:
         """Units whose outputs unit *fu* can read (including itself)."""
-        preds = {src for src, dst in self.edges if dst == fu}
-        preds.add(fu)
-        return sorted(preds)
+        return list(self._preds[fu])
 
     def successors(self, fu: int) -> List[int]:
         """Units that can read unit *fu*'s output (including itself)."""
-        succs = {dst for src, dst in self.edges if src == fu}
-        succs.add(fu)
-        return sorted(succs)
+        return list(self._succs[fu])
 
     def connected(self, src: int, dst: int) -> bool:
         """True when *dst* can read *src*'s output directly."""

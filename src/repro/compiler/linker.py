@@ -15,6 +15,7 @@ modes (the shared central register file):
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import pickle
@@ -24,7 +25,7 @@ from typing import Dict, List, Optional, Union
 from repro.arch.config import CgaArchitecture
 from repro.compiler.builder import PhysReg, VirtualReg, VliwBuilder, VliwSection
 from repro.compiler.dfg import CompileError, Dfg
-from repro.compiler.modulo import ModuloScheduler, ScheduleResult
+from repro.compiler.modulo import ModuloScheduler, ScheduleResult, clear_placement_memo
 from repro.compiler.vliw_sched import RegisterMap, schedule_vliw
 from repro.isa.instruction import Imm, Instruction
 from repro.isa.opcodes import Opcode
@@ -48,9 +49,6 @@ _SCHEDULE_CACHE: Dict[tuple, "ScheduleResult"] = {}
 #: call.
 _DISK_CACHE_DIR: Optional[str] = None
 
-#: On-disk payload format version; bump when ScheduleResult changes shape.
-_DISK_FORMAT = 1
-
 _CACHE_STATS = {"memory_hits": 0, "disk_hits": 0, "misses": 0}
 
 
@@ -72,8 +70,10 @@ def schedule_cache_dir() -> Optional[str]:
 
 
 def clear_schedule_cache() -> None:
-    """Drop the in-memory schedule cache (the disk cache is untouched)."""
+    """Drop the in-memory schedule cache and the scheduler's placement
+    memo (the disk cache is untouched)."""
     _SCHEDULE_CACHE.clear()
+    clear_placement_memo()
     for key in _CACHE_STATS:
         _CACHE_STATS[key] = 0
 
@@ -92,6 +92,27 @@ def _dfg_signature(dfg: Dfg) -> tuple:
     return tuple(sig)
 
 
+@functools.lru_cache(maxsize=None)
+def source_digest() -> str:
+    """Digest of every ``.py`` file of the ``repro`` package, computed
+    once per process.
+
+    It is part of every persistent cache key, so a cache directory never
+    serves output of code that has changed since, down to a comment.
+    """
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    paths = []
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames[:] = [d for d in dirnames if d != "__pycache__"]
+        paths.extend(os.path.join(dirpath, f) for f in filenames if f.endswith(".py"))
+    digest = hashlib.sha256()
+    for path in sorted(paths, key=lambda p: os.path.relpath(p, root)):
+        with open(path, "rb") as fh:
+            rel = os.path.relpath(path, root).replace(os.sep, "/")
+            digest.update(rel.encode("utf-8") + b"\0" + fh.read() + b"\0")
+    return digest.hexdigest()[:16]
+
+
 def _disk_cache_path(directory: str, key: tuple) -> str:
     """Content-addressed file name: SHA-256 of the key's canonical repr."""
     digest = hashlib.sha256(repr(key).encode("utf-8")).hexdigest()
@@ -106,7 +127,7 @@ def _load_disk_schedule(path: str, key: tuple) -> Optional[ScheduleResult]:
     except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
             ImportError, IndexError, MemoryError, ValueError, TypeError):
         return None
-    if not isinstance(payload, dict) or payload.get("format") != _DISK_FORMAT:
+    if not isinstance(payload, dict):
         return None
     # The full key is stored and compared, so a (vanishingly unlikely)
     # digest collision or a stale file degrades to a recompile.
@@ -122,7 +143,7 @@ def _store_disk_schedule(path: str, key: tuple, result: ScheduleResult) -> None:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         tmp = "%s.tmp.%d" % (path, os.getpid())
         with open(tmp, "wb") as fh:
-            pickle.dump({"format": _DISK_FORMAT, "key": key, "result": result}, fh)
+            pickle.dump({"key": key, "result": result}, fh)
         os.replace(tmp, path)
     except OSError:
         pass  # a read-only or full disk must never fail compilation
@@ -149,19 +170,20 @@ def _schedule_cached(
         seed,
     )
     directory = schedule_cache_dir()
+    disk_key = (source_digest(),) + key
     result = _SCHEDULE_CACHE.get(key)
     if result is not None:
         _CACHE_STATS["memory_hits"] += 1
         # Write-through for caches enabled after the schedule was
         # computed, so a warm process can still populate the directory.
         if directory is not None:
-            path = _disk_cache_path(directory, key)
+            path = _disk_cache_path(directory, disk_key)
             if not os.path.exists(path):
-                _store_disk_schedule(path, key, result)
+                _store_disk_schedule(path, disk_key, result)
         return result
     if directory is not None:
-        path = _disk_cache_path(directory, key)
-        result = _load_disk_schedule(path, key)
+        path = _disk_cache_path(directory, disk_key)
+        result = _load_disk_schedule(path, disk_key)
         if result is not None:
             _CACHE_STATS["disk_hits"] += 1
             _SCHEDULE_CACHE[key] = result
@@ -176,7 +198,7 @@ def _schedule_cached(
     )
     _SCHEDULE_CACHE[key] = result
     if directory is not None:
-        _store_disk_schedule(_disk_cache_path(directory, key), key, result)
+        _store_disk_schedule(_disk_cache_path(directory, disk_key), disk_key, result)
     return result
 
 

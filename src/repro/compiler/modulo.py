@@ -23,9 +23,11 @@ inserted moves, utilization).
 
 from __future__ import annotations
 
+import functools
 import random
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.arch.config import CgaArchitecture
 from repro.compiler.dfg import CompileError, Const, Dfg, LiveIn, Node, NodeRef
@@ -72,12 +74,49 @@ class _Move:
 
 @dataclass
 class _Resolution:
-    """How one consumer operand is fetched at run time."""
+    """How one consumer operand is fetched at run time.
 
-    kind: str  # "imm" | "cdrf" | "lrf" | "latch"
-    value: int = 0  # immediate value / register index / entry
+    Only structural facts live here; an immediate's value and a
+    recurrence's init value are read from the operand at emission.
+    """
+
+    kind: str  # "imm" | "cdrf:<live-in>" | "lrf:<live-in>" | "latch"
+    value: int = 0  # local register entry for "lrf"
     read_fu: int = -1  # latch source for "latch"
-    init: Optional[int] = None  # recurrence first-iteration value
+
+
+@dataclass
+class _Placement:
+    """Output of one successful placement step at a fixed II.
+
+    It is a function of the op graph's structure alone (the
+    :meth:`ModuloScheduler._structure_key`), so every kernel with the
+    same structure reuses it and only :meth:`ModuloScheduler._emit` runs
+    again.
+    """
+
+    ii: int
+    placements: Dict[int, _Placed]
+    moves: List[_Move]
+    resolutions: Dict[Tuple[int, object], _Resolution]
+    liveout_moves: Dict[int, _Move]
+    preloads: List[Tuple[int, int, str]]  # (fu, entry, live-in) local-RF loads
+    utilization: float
+
+
+@dataclass
+class _Search:
+    """A finished II search: the winning placement (``None`` when the
+    graph is unschedulable up to ``max_ii``) and the failed attempts
+    before it, as ``(ii, restart, error)``."""
+
+    mii: int
+    placement: Optional[_Placement]
+    failures: List[Tuple[int, int, str]]
+
+    @property
+    def last_error(self) -> str:
+        return self.failures[-1][2] if self.failures else "None"
 
 
 @dataclass
@@ -97,8 +136,48 @@ class _RouteFail(Exception):
     pass
 
 
+#: Placement searches memoised by :meth:`ModuloScheduler._structure_key`.
+#: A modem link schedules many kernels that differ only in constants,
+#: name, register convention or trip count (the FFT stages, the
+#: cross-correlation phases); each structure is searched once.
+_SEARCHES: Dict[tuple, _Search] = {}
+
+_SEARCH_STATS = {"searches": 0}
+
+
+def clear_placement_memo() -> None:
+    """Drop the memoised placement searches and zero their counters."""
+    _SEARCHES.clear()
+    for key in _SEARCH_STATS:
+        _SEARCH_STATS[key] = 0
+
+
+def placement_stats() -> Dict[str, int]:
+    """Placement ``searches`` run since the last :func:`clear_placement_memo`."""
+    return dict(_SEARCH_STATS)
+
+
+def _operand_key(operand: object) -> object:
+    """An operand as the placement search sees it: constants are
+    configuration immediates whatever their value."""
+    return "const" if isinstance(operand, Const) else operand
+
+
+def _rollback(table: dict, size: int) -> None:
+    """Undo the insertions made into *table* since it had *size* keys."""
+    while len(table) > size:
+        table.popitem()
+
+
 class ModuloScheduler:
-    """Schedules one loop DFG onto one architecture."""
+    """Schedules one loop DFG onto one architecture.
+
+    Scheduling runs in two steps.  The *placement* step (priority order,
+    placement, routing) reads only the op graph's structure and the
+    architecture; it is memoised per structure.  The *emission* step
+    binds the per-call values (constant operands, recurrence inits, the
+    kernel name, the register convention and the trip count).
+    """
 
     def __init__(
         self,
@@ -140,6 +219,27 @@ class ModuloScheduler:
         )
         return max(res_mii, self.dfg.recurrence_mii(), 1)
 
+    def _structure_key(self) -> tuple:
+        """Everything the placement step reads.
+
+        That is the architecture's structural fingerprint; per node its
+        id, opcode, operands with ``Const`` values erased (live-in names
+        and node references kept whole), guard, guard polarity and
+        live-out name; and the search parameters.
+        """
+        nodes = tuple(
+            (
+                nid,
+                node.opcode.value,
+                tuple(_operand_key(src) for src in node.srcs),
+                _operand_key(node.pred),
+                node.pred_negate,
+                node.live_out,
+            )
+            for nid, node in self.dfg.nodes.items()
+        )
+        return (self.arch.fingerprint(), nodes, self.max_ii, self.restarts, self.seed)
+
     def schedule(
         self,
         live_in_regs: Optional[Dict[str, int]] = None,
@@ -161,16 +261,41 @@ class ModuloScheduler:
         if missing:
             raise CompileError("no central register for live-outs %r" % missing)
 
-        tracer = get_tracer()
-        mii = self.min_ii()
-        if tracer.enabled:
-            tracer.instant(
-                "modulo.search",
-                tracer.tick(),
-                cat="compiler",
-                args={"kernel": self.dfg.name, "mii": mii, "max_ii": self.max_ii},
+        emit = functools.partial(
+            self._emit,
+            live_in_regs=live_in_regs,
+            live_out_regs=live_out_regs,
+            trip_count=trip_count,
+            trip_count_reg=trip_count_reg,
+        )
+        key = self._structure_key()
+        search = _SEARCHES.get(key)
+        result: Optional[ScheduleResult] = None
+        if search is None:
+            search, result = self._search(emit)
+            _SEARCHES[key] = search
+        elif search.placement is not None:
+            result = emit(search.placement, search.mii)
+        self._trace(search, result)
+        if result is None:
+            raise CompileError(
+                "kernel %s unschedulable up to II=%d: %s"
+                % (self.dfg.name, self.max_ii, search.last_error)
             )
-        last_error: Optional[Exception] = None
+        return result
+
+    def _search(
+        self, emit: Callable[[_Placement, int], ScheduleResult]
+    ) -> Tuple[_Search, Optional[ScheduleResult]]:
+        """Try ``II = MII, MII+1, ...`` with seeded restarts per II.
+
+        An attempt is a placement step followed by *emit*; the first
+        attempt through both wins.
+        """
+        _SEARCH_STATS["searches"] += 1
+        self._prepare()
+        mii = self.min_ii()
+        failures: List[Tuple[int, int, str]] = []
         # Large DFGs take noticeably longer per attempt; fewer restarts
         # per II keeps compile times reasonable at a minor II cost.
         restarts = self.restarts if self.dfg.op_count() <= 60 else 2
@@ -178,75 +303,127 @@ class ModuloScheduler:
             for restart in range(restarts):
                 rng = random.Random(self.seed * 7919 + ii * 131 + restart)
                 try:
-                    result = self._attempt(
-                        ii, mii, rng, live_in_regs, live_out_regs,
-                        trip_count, trip_count_reg,
-                    )
+                    placement = self._place(ii, rng)
+                    result = emit(placement, mii)
                 except CompileError as exc:
-                    last_error = exc
-                    if tracer.enabled:
-                        tracer.instant(
-                            "modulo.attempt_failed",
-                            tracer.tick(),
-                            cat="compiler",
-                            args={
-                                "kernel": self.dfg.name,
-                                "ii": ii,
-                                "restart": restart,
-                                "error": str(exc),
-                            },
-                        )
+                    failures.append((ii, restart, str(exc)))
                     continue
-                if tracer.enabled:
-                    tracer.instant(
-                        "modulo.scheduled",
-                        tracer.tick(),
-                        cat="compiler",
-                        args={
-                            "kernel": self.dfg.name,
-                            "ii": result.ii,
-                            "mii": result.mii,
-                            "stages": result.stage_count,
-                            "moves": result.n_moves,
-                            "utilization": result.utilization,
-                        },
-                    )
-                return result
-        if tracer.enabled:
+                return _Search(mii, placement, failures), result
+        return _Search(mii, None, failures), None
+
+    def _trace(self, search: _Search, result: Optional[ScheduleResult]) -> None:
+        """Emit the II-search events, the same on a memo hit as on a miss."""
+        tracer = get_tracer()
+        if not tracer.enabled:
+            return
+        name = self.dfg.name
+        tracer.instant(
+            "modulo.search",
+            tracer.tick(),
+            cat="compiler",
+            args={"kernel": name, "mii": search.mii, "max_ii": self.max_ii},
+        )
+        for ii, restart, error in search.failures:
+            tracer.instant(
+                "modulo.attempt_failed",
+                tracer.tick(),
+                cat="compiler",
+                args={"kernel": name, "ii": ii, "restart": restart, "error": error},
+            )
+        if result is None:
             tracer.instant(
                 "modulo.unschedulable",
                 tracer.tick(),
                 cat="compiler",
                 args={
-                    "kernel": self.dfg.name,
+                    "kernel": name,
                     "max_ii": self.max_ii,
-                    "error": str(last_error),
+                    "error": search.last_error,
                 },
             )
-        raise CompileError(
-            "kernel %s unschedulable up to II=%d: %s"
-            % (self.dfg.name, self.max_ii, last_error)
+            return
+        tracer.instant(
+            "modulo.scheduled",
+            tracer.tick(),
+            cat="compiler",
+            args={
+                "kernel": name,
+                "ii": result.ii,
+                "mii": result.mii,
+                "stages": result.stage_count,
+                "moves": result.n_moves,
+                "utilization": result.utilization,
+            },
         )
 
     # ------------------------------------------------------------------
+    # Per-graph tables, computed once per scheduler (the graph does not
+    # change while it is being scheduled).
 
-    def _priority_order(self, rng: random.Random) -> List[Node]:
-        """Topological order by descending height with seeded jitter."""
+    def _prepare(self) -> None:
+        dfg = self.dfg
+        self._operands_of: Dict[int, List[Tuple[object, object]]] = {}
+        self._deps: Dict[int, List[int]] = {}
+        # producer id -> [(consumer, ref)], in the order Dfg.consumers
+        # reports them.
+        self._consumers: Dict[int, List[Tuple[Node, NodeRef]]] = {
+            nid: [] for nid in dfg.nodes
+        }
+        for nid, node in dfg.nodes.items():
+            ops: List[Tuple[object, object]] = list(enumerate(node.srcs))
+            if node.pred is not None:
+                ops.append(("pred", node.pred))
+            self._operands_of[nid] = ops
+            self._deps[nid] = [
+                ref.node_id
+                for _key, ref in ops
+                if isinstance(ref, NodeRef) and ref.distance != 1
+            ]
+            for _key, ref in ops:
+                if isinstance(ref, NodeRef):
+                    self._consumers.setdefault(ref.node_id, []).append((node, ref))
         heights: Dict[int, int] = {}
 
         def height(nid: int) -> int:
             if nid in heights:
                 return heights[nid]
-            node = self.dfg.nodes[nid]
+            node = dfg.nodes[nid]
             best = node.latency
-            for consumer, ref in self.dfg.consumers(nid):
+            for consumer, ref in self._consumers[nid]:
                 if ref.distance == 0:
                     best = max(best, node.latency + height(consumer.node_id))
             heights[nid] = best
             return best
 
-        for nid in self.dfg.nodes:
+        for nid in dfg.nodes:
             height(nid)
+        self._heights = heights
+        self._alap = dfg.asap_alap()[1]
+        self._fu_classes: Dict[int, Dict[int, int]] = {}
+        mem_capable = set(self.arch.fus_with_group(OpGroup.LDMEM))
+        vliw = {fu.index for fu in self.arch.vliw_fus}
+        for nid, node in dfg.nodes.items():
+            needs_cdrf = node.live_out is not None or any(
+                isinstance(s, LiveIn) for s in node.srcs
+            )
+            classes: Dict[int, int] = {}
+            for fu in self.arch.fus_supporting(node.opcode):
+                # Prefer plain units, keep memory units for memory ops and
+                # ported units for ops that need the central RF.
+                score = 0
+                if node.group not in (OpGroup.LDMEM, OpGroup.STMEM) and fu in mem_capable:
+                    score += 2
+                if needs_cdrf and fu in vliw:
+                    score -= 1  # being on a ported unit avoids extra moves
+                elif fu in vliw:
+                    score += 1
+                classes[fu] = score
+            self._fu_classes[nid] = classes
+
+    def _priority_order(self, rng: random.Random) -> List[Node]:
+        """Topological order by descending height with seeded jitter."""
+        heights = self._heights
+        deps = self._deps
         # Topological over distance-0 edges: node ids are already in
         # creation order, and distance-0 refs always point backwards, so
         # id order is a valid topological order.  Sort stably by height
@@ -257,14 +434,7 @@ class ModuloScheduler:
         order: List[Node] = []
         while remaining:
             ready = [
-                nid
-                for nid in remaining
-                if all(
-                    (not isinstance(s, NodeRef)) or s.distance == 1
-                    or s.node_id in placed
-                    for s in list(self.dfg.nodes[nid].srcs)
-                    + ([self.dfg.nodes[nid].pred] if self.dfg.nodes[nid].pred else [])
-                )
+                nid for nid in remaining if all(d in placed for d in deps[nid])
             ]
             if not ready:  # pragma: no cover - guarded by Dfg validation
                 raise CompileError("cyclic distance-0 dependences")
@@ -276,40 +446,13 @@ class ModuloScheduler:
         return order
 
     def _candidate_fus(self, node: Node, rng: random.Random) -> List[int]:
-        fus = self.arch.fus_supporting(node.opcode)
-        mem_capable = set(self.arch.fus_with_group(OpGroup.LDMEM))
-        vliw = {fu.index for fu in self.arch.vliw_fus}
-
-        def klass(fu: int) -> int:
-            # Prefer plain units, keep memory units for memory ops and
-            # ported units for ops that need the central RF.
-            score = 0
-            if node.group not in (OpGroup.LDMEM, OpGroup.STMEM) and fu in mem_capable:
-                score += 2
-            needs_cdrf = node.live_out is not None or any(
-                isinstance(s, LiveIn) for s in node.srcs
-            )
-            if needs_cdrf and fu in vliw:
-                score -= 1  # being on a ported unit avoids extra moves
-            elif fu in vliw:
-                score += 1
-            return score
-
-        ordered = sorted(fus, key=lambda fu: (klass(fu), rng.random()))
-        return ordered
+        classes = self._fu_classes[node.node_id]
+        return sorted(classes, key=lambda fu: (classes[fu], rng.random()))
 
     # ------------------------------------------------------------------
 
-    def _attempt(
-        self,
-        ii: int,
-        mii: int,
-        rng: random.Random,
-        live_in_regs: Dict[str, int],
-        live_out_regs: Dict[str, int],
-        trip_count: Optional[int],
-        trip_count_reg: Optional[int],
-    ) -> ScheduleResult:
+    def _place(self, ii: int, rng: random.Random) -> _Placement:
+        """The placement step: place and route every node at *ii*."""
         mrrg = Mrrg(self.arch, ii)
         placements: Dict[int, _Placed] = {}
         moves: List[_Move] = []
@@ -319,25 +462,15 @@ class ModuloScheduler:
 
         order = self._priority_order(rng)
         window = 2 * ii + 8
-        _asap, alap = self.dfg.asap_alap()
         for node in order:
             self._place_one(
                 node, ii, mrrg, placements, moves, resolutions, liveout_moves,
-                move_uid, window, rng, alap,
+                move_uid, window, rng,
             )
-        return self._emit(
-            ii, mii, mrrg, placements, moves, resolutions, liveout_moves,
-            live_in_regs, live_out_regs, trip_count, trip_count_reg,
+        return _Placement(
+            ii, placements, moves, resolutions, liveout_moves,
+            mrrg.preload_list(), mrrg.utilization(),
         )
-
-    def _operands(self, node: Node) -> List[Tuple[object, object]]:
-        """(key, operand) pairs including the guard predicate."""
-        out: List[Tuple[object, object]] = [
-            (i, src) for i, src in enumerate(node.srcs)
-        ]
-        if node.pred is not None:
-            out.append(("pred", node.pred))
-        return out
 
     def _place_one(
         self,
@@ -351,16 +484,15 @@ class ModuloScheduler:
         move_uid: List[int],
         window: int,
         rng: random.Random,
-        alap: Optional[Dict[int, int]] = None,
     ) -> None:
         lat = node.latency
         earliest = 0
-        for _key, ref in self._operands(node):
+        for _key, ref in self._operands_of[node.node_id]:
             if isinstance(ref, NodeRef) and ref.node_id in placements:
                 p = placements[ref.node_id]
                 earliest = max(earliest, p.avail - ref.distance * ii)
         deadline = earliest + window
-        for consumer, ref in self.dfg.consumers(node.node_id):
+        for consumer, ref in self._consumers[node.node_id]:
             if consumer.node_id in placements and consumer.node_id != node.node_id:
                 c = placements[consumer.node_id]
                 deadline = min(deadline, c.time + ref.distance * ii - lat)
@@ -374,7 +506,7 @@ class ModuloScheduler:
         # (address generation) land next to their consumers instead of
         # at the top of the schedule, which would make their values
         # unroutably stale by the time the consumer reads them.
-        target = max(earliest, alap.get(node.node_id, earliest) if alap else earliest)
+        target = max(earliest, self._alap.get(node.node_id, earliest))
         target = min(target, deadline)
         times = sorted(range(earliest, deadline + 1), key=lambda t: (abs(t - target), t))
 
@@ -388,8 +520,8 @@ class ModuloScheduler:
                     continue
                 snap = mrrg.checkpoint()
                 moves_snap = len(moves)
-                res_snap = dict(resolutions)
-                lo_snap = dict(liveout_moves)
+                res_snap = len(resolutions)
+                lo_snap = len(liveout_moves)
                 try:
                     self._commit_placement(
                         node, fu, t, ii, mrrg, placements, moves,
@@ -397,13 +529,12 @@ class ModuloScheduler:
                     )
                     return
                 except (_RouteFail, CompileError):
+                    # A placement attempt only ever inserts new keys.
                     mrrg.restore(snap)
                     placements.pop(node.node_id, None)
                     del moves[moves_snap:]
-                    resolutions.clear()
-                    resolutions.update(res_snap)
-                    liveout_moves.clear()
-                    liveout_moves.update(lo_snap)
+                    _rollback(resolutions, res_snap)
+                    _rollback(liveout_moves, lo_snap)
         raise CompileError(
             "node %d (%s): no feasible placement at II=%d"
             % (node.node_id, node.opcode.value, ii)
@@ -430,11 +561,9 @@ class ModuloScheduler:
         placed = _Placed(node.node_id, fu, t, node.opcode)
 
         # Resolve this node's operands.
-        for key, ref in self._operands(node):
+        for key, ref in self._operands_of[node.node_id]:
             if isinstance(ref, Const):
-                resolutions[(node.node_id, key)] = _Resolution(
-                    "imm", ref.value & MASK64
-                )
+                resolutions[(node.node_id, key)] = _Resolution("imm")
             elif isinstance(ref, LiveIn):
                 if self.arch.fus[fu].has_cdrf_port:
                     if not mrrg.cdrf_read_free(t):
@@ -464,21 +593,19 @@ class ModuloScheduler:
                     producer, fu, read_time, ii, mrrg, moves, move_uid,
                     value_uid=producer.uid,
                 )
-                resolutions[(node.node_id, key)] = _Resolution(
-                    "latch", 0, read_fu, init=ref.init
-                )
+                resolutions[(node.node_id, key)] = _Resolution("latch", 0, read_fu)
 
         placements[node.node_id] = placed
 
         # Resolve back edges into already-placed consumers.
-        for consumer, ref in self.dfg.consumers(node.node_id):
+        for consumer, ref in self._consumers[node.node_id]:
             if consumer.node_id == node.node_id:
                 continue
             if consumer.node_id not in placements:
                 continue
             c = placements[consumer.node_id]
             # Identify the operand keys of this edge.
-            for key, operand in self._operands(consumer):
+            for key, operand in self._operands_of[consumer.node_id]:
                 if (
                     isinstance(operand, NodeRef)
                     and operand.node_id == node.node_id
@@ -490,7 +617,7 @@ class ModuloScheduler:
                         value_uid=node.node_id,
                     )
                     resolutions[(consumer.node_id, key)] = _Resolution(
-                        "latch", 0, read_fu, init=operand.init
+                        "latch", 0, read_fu
                     )
 
         # Live-out write-back.
@@ -539,25 +666,29 @@ class ModuloScheduler:
         # Breadth-first search over re-latching moves (bounded depth).
         # State: (n_moves, fu, avail); explore a few re-latch times per hop.
         best: Optional[List[Tuple[int, int, int]]] = None  # [(fu, t_m, from_fu)]
-        frontier: List[Tuple[int, int, int, List[Tuple[int, int, int]]]] = [
-            (0, producer.fu, avail, [])
-        ]
+        frontier: Deque[Tuple[int, int, int, List[Tuple[int, int, int]]]] = deque(
+            [(0, producer.fu, avail, [])]
+        )
         visited = {(producer.fu, avail)}
+        fus = mrrg.fus
         while frontier:
-            n_moves, cur_fu, cur_avail, path = frontier.pop(0)
+            n_moves, cur_fu, cur_avail, path = frontier.popleft()
             if n_moves >= 3:
                 continue
-            for nxt_fu in sorted(ic.successors(cur_fu)):
-                # Candidate re-latch times: as early as possible first.
-                t_lo = cur_avail
-                t_hi = min(cur_avail + ii - 1, read_time - MOVE_LATENCY)
+            # Candidate re-latch times, as early as possible first: the
+            # value must still be live on cur_fu when the move reads it.
+            t_lo = cur_avail
+            t_hi = min(
+                cur_avail + mrrg.max_extension(cur_fu, cur_avail),
+                read_time - MOVE_LATENCY,
+            )
+            for nxt_fu in ic.successors(cur_fu):
+                slots = fus[nxt_fu].slots
                 found_t = None
                 for t_m in range(t_lo, t_hi + 1):
-                    if not mrrg.slot_free(nxt_fu, t_m):
+                    if t_m % ii in slots:
                         continue
                     if not mrrg.commit_free(nxt_fu, t_m + MOVE_LATENCY):
-                        continue
-                    if not mrrg.can_extend_window(cur_fu, cur_avail, t_m - cur_avail):
                         continue
                     found_t = t_m
                     break
@@ -632,18 +763,19 @@ class ModuloScheduler:
 
     def _emit(
         self,
-        ii: int,
+        placement: _Placement,
         mii: int,
-        mrrg: Mrrg,
-        placements: Dict[int, _Placed],
-        moves: List[_Move],
-        resolutions: Dict[Tuple[int, object], _Resolution],
-        liveout_moves: Dict[int, _Move],
         live_in_regs: Dict[str, int],
         live_out_regs: Dict[str, int],
         trip_count: Optional[int],
         trip_count_reg: Optional[int],
     ) -> ScheduleResult:
+        """The emission step: bind this call's values to *placement*."""
+        ii = placement.ii
+        placements = placement.placements
+        moves = placement.moves
+        resolutions = placement.resolutions
+        liveout_moves = placement.liveout_moves
         max_time = 0
         for p in placements.values():
             max_time = max(max_time, p.time)
@@ -653,9 +785,9 @@ class ModuloScheduler:
 
         contexts = [CgaContext() for _ in range(ii)]
 
-        def src_sel(res: _Resolution, self_fu: int) -> SrcSel:
+        def src_sel(res: _Resolution, operand: object, self_fu: int) -> SrcSel:
             if res.kind == "imm":
-                return SrcSel.imm(res.value)
+                return SrcSel.imm(operand.value & MASK64)
             if res.kind.startswith("cdrf:"):
                 name = res.kind.split(":", 1)[1]
                 return SrcSel.cdrf(live_in_regs[name])
@@ -665,8 +797,8 @@ class ModuloScheduler:
                 base = (
                     SrcSel.self_() if res.read_fu == self_fu else SrcSel.wire(res.read_fu)
                 )
-                if res.init is not None:
-                    base = base.with_init(res.init)
+                if operand.init is not None:
+                    base = base.with_init(operand.init)
                 return base
             raise CompileError("unresolved operand (%s)" % res.kind)
 
@@ -674,19 +806,19 @@ class ModuloScheduler:
             p = placements[node.node_id]
             phase, stage = p.time % ii, p.time // ii
             srcs = []
-            for i in range(len(node.srcs)):
+            for i, operand in enumerate(node.srcs):
                 res = resolutions.get((node.node_id, i))
                 if res is None:
                     raise CompileError(
                         "operand %d of node %d unresolved" % (i, node.node_id)
                     )
-                srcs.append(src_sel(res, p.fu))
+                srcs.append(src_sel(res, operand, p.fu))
             pred_sel = None
             if node.pred is not None:
                 res = resolutions.get((node.node_id, "pred"))
                 if res is None:
                     raise CompileError("guard of node %d unresolved" % node.node_id)
-                pred_sel = src_sel(res, p.fu)
+                pred_sel = src_sel(res, node.pred, p.fu)
             dsts: List[DstSel] = []
             if node.live_out is not None and node.node_id not in liveout_moves:
                 dsts.append(
@@ -728,7 +860,7 @@ class ModuloScheduler:
 
         preloads = [
             Preload(fu, entry, live_in_regs[name.split(":", 1)[-1] if ":" in name else name])
-            for fu, entry, name in mrrg.preload_list()
+            for fu, entry, name in placement.preloads
         ]
 
         kernel = CgaKernel(
@@ -746,6 +878,6 @@ class ModuloScheduler:
             stage_count=stage_count,
             n_ops=len(placements),
             n_moves=len(moves),
-            utilization=mrrg.utilization(),
+            utilization=placement.utilization,
             mii=mii,
         )

@@ -94,19 +94,6 @@ class Mrrg:
         self.cdrf_reads = snap.cdrf_reads
         self.cdrf_writes = snap.cdrf_writes
 
-    # -- helpers -----------------------------------------------------------
-
-    def _phases_in_window(self, commit_phase: int, length: int):
-        """Phases strictly after *commit_phase* through +length, mod II."""
-        for d in range(1, length + 1):
-            yield (commit_phase + d) % self.ii
-
-    def _window_contains(self, commit_phase: int, length: int, phase: int) -> bool:
-        if length <= 0:
-            return False
-        delta = (phase - commit_phase) % self.ii
-        return 1 <= delta <= length
-
     # -- issue slots ---------------------------------------------------------
 
     def slot_free(self, fu: int, time: int) -> bool:
@@ -125,14 +112,15 @@ class Mrrg:
         """True when the latch of *fu* can accept a commit at this phase.
 
         The phase must be unused and must not fall inside any existing
-        value's live window.
+        value's live window (the ``length`` phases after its commit).
         """
-        phase = commit_time % self.ii
-        state = self.fus[fu]
-        if phase in state.commits:
+        ii = self.ii
+        phase = commit_time % ii
+        commits = self.fus[fu].commits
+        if phase in commits:
             return False
-        for c0, length in state.commits.items():
-            if self._window_contains(c0, length, phase):
+        for c0, length in commits.items():
+            if length and 0 < (phase - c0) % ii <= length:
                 return False
         return True
 
@@ -143,20 +131,28 @@ class Mrrg:
 
     def can_extend_window(self, fu: int, commit_time: int, slack: int) -> bool:
         """Can the value committed at *commit_time* stay live *slack* cycles?"""
-        if slack < 0 or slack > self.ii - 1:
-            return False
-        phase = commit_time % self.ii
-        state = self.fus[fu]
-        current = state.commits.get(phase)
-        if current is None:
-            # The producer is not committed yet (placement in progress);
-            # only window-vs-other-commits feasibility can be checked.
-            pass
-        length = max(current or 0, slack)
-        for p in self._phases_in_window(phase, length):
-            if p in state.commits and p != phase:
-                return False
-        return True
+        return 0 <= slack <= self.max_extension(fu, commit_time)
+
+    def max_extension(self, fu: int, commit_time: int) -> int:
+        """Largest slack the value committed at *commit_time* can stay
+        live on *fu* (``-1`` when even its current window is blocked).
+
+        The window may grow up to the next other commit on the unit and
+        never past ``II - 1``.  The value need not be committed yet
+        (placement in progress); then only the window-vs-other-commits
+        feasibility is checked.
+        """
+        ii = self.ii
+        phase = commit_time % ii
+        commits = self.fus[fu].commits
+        nearest = ii  # distance to the next other commit, if any
+        for c0 in commits:
+            delta = (c0 - phase) % ii
+            if delta and delta < nearest:
+                nearest = delta
+        if commits.get(phase, 0) >= nearest:
+            return -1
+        return min(ii - 1, nearest - 1)
 
     def extend_window(self, fu: int, commit_time: int, slack: int) -> None:
         if not self.can_extend_window(fu, commit_time, slack):

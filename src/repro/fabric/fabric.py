@@ -35,6 +35,7 @@ kill-respawn cycle loses and duplicates nothing.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import time
 from dataclasses import dataclass
 from multiprocessing import connection
@@ -51,12 +52,20 @@ from repro.fabric.worker import (
     MSG_HEARTBEAT,
     MSG_READY,
     MSG_RESULT,
+    FrameReader,
     default_runner_factory,
     worker_main,
 )
 from repro.obs.heartbeat import Watchdog
 from repro.obs.window import EventLog, MetricsWindow
 from repro.trace.tracer import NULL_TRACER, Tracer
+
+#: Largest read from a result pipe per call (a pipe holds 64 KiB).
+_READ_CHUNK = 1 << 16
+
+#: How long the pump waits for the rest of a frame a worker is still
+#: writing before it moves on (the watchdog runs between pumps).
+_FRAME_STALL_S = 0.1
 
 #: Supported submission backpressure modes.
 BACKPRESSURE_MODES = ("block", "drop", "deadline")
@@ -140,6 +149,8 @@ class _Worker:
         self.proc: Optional[multiprocessing.process.BaseProcess] = None
         self.task_conn = None  # parent send end
         self.result_conn = None  # parent recv end
+        #: Partial frames read from ``result_conn`` so far.
+        self.result_reader = FrameReader()
         #: Batch-drain mode: the task-id sets of dispatches still in the
         #: pipe (``max_inflight`` bounds dispatches, not tasks, there).
         self.open_dispatches: List[set] = []
@@ -339,6 +350,7 @@ class Fabric:
         worker.proc = proc
         worker.task_conn = task_send
         worker.result_conn = result_recv
+        worker.result_reader = FrameReader()
         worker.state.alive = True
         worker.state.stopping = False
         worker.state.pid = proc.pid
@@ -623,16 +635,25 @@ class Fabric:
                 self._counters["watchdog_kills"] += 1
 
     def _drain_conn(self, worker: _Worker) -> bool:
-        """Read every buffered message; False when the pipe hit EOF."""
+        """Handle every message the pipe completes; False at EOF.
+
+        A frame the worker is still writing is read to its end, but the
+        wait for each next chunk is bounded, so a worker stopped
+        mid-frame cannot block the pump.
+        """
         conn = worker.result_conn
+        reader = worker.result_reader
         while True:
             try:
-                if not conn.poll(0):
+                if not conn.poll(_FRAME_STALL_S if reader.partial else 0):
                     return True
-                msg = conn.recv()
-            except (EOFError, OSError):
+                chunk = os.read(conn.fileno(), _READ_CHUNK)
+            except OSError:
                 return False
-            self._handle_message(worker, msg)
+            if not chunk:
+                return False
+            for msg in reader.feed(chunk):
+                self._handle_message(worker, msg)
 
     def _handle_message(self, worker: _Worker, msg: tuple) -> None:
         tag = msg[0]

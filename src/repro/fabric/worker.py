@@ -33,13 +33,24 @@ worker's pipe ends.  A SIGKILLed worker therefore drops the last write
 end of its result pipe, the parent reads a clean EOF (even mid-message)
 instead of deadlocking on a shared queue lock, and the surviving
 workers are untouched.
+
+Framing: messages travel the result pipe as frames of their own, an
+8-byte big-endian length followed by the pickle (:func:`send_message`).
+The parent reassembles frames in a :class:`FrameReader` and bounds its
+wait for the rest of a frame, so a worker stopped halfway through a
+large result (SIGSTOP) leaves a partial frame in the parent's buffer
+instead of a parent blocked inside ``Connection.recv`` — the watchdog,
+which runs in the parent's pump loop, can then still kill it.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import struct
 import threading
 import time
-from typing import Callable, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.obs.heartbeat import heartbeat_payload
 
@@ -49,6 +60,46 @@ MSG_RESULT = "result"
 MSG_ERROR = "error"
 MSG_BYE = "bye"
 MSG_HEARTBEAT = "heartbeat"
+
+_FRAME_HEADER = struct.Struct("!Q")
+
+
+def send_message(conn, msg: object) -> None:
+    """Write *msg* to the pipe *conn* as one length-prefixed frame."""
+    data = pickle.dumps(msg, protocol=pickle.HIGHEST_PROTOCOL)
+    fd = conn.fileno()
+    view = memoryview(_FRAME_HEADER.pack(len(data)) + data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+class FrameReader:
+    """Reassembles :func:`send_message` frames from raw pipe reads."""
+
+    def __init__(self) -> None:
+        self._buf = bytearray()
+
+    @property
+    def partial(self) -> bool:
+        """True while part of a frame has arrived but not all of it."""
+        return bool(self._buf)
+
+    def feed(self, chunk: bytes) -> List[object]:
+        """Add *chunk*; return every message it completes, in order."""
+        buf = self._buf
+        buf += chunk
+        messages = []
+        start = 0
+        header = _FRAME_HEADER.size
+        while len(buf) - start >= header:
+            (size,) = _FRAME_HEADER.unpack_from(buf, start)
+            end = start + header + size
+            if len(buf) < end:
+                break
+            messages.append(pickle.loads(buf[start + header:end]))
+            start = end
+        del buf[:start]
+        return messages
 
 
 def default_runner_factory(
@@ -112,7 +163,7 @@ def _heartbeat_loop(
                 stall_causes=dict(getattr(runner, "stall_causes", None) or {}),
             )
             with send_lock:
-                result_conn.send((MSG_HEARTBEAT, index, payload))
+                send_message(result_conn, (MSG_HEARTBEAT, index, payload))
         except (OSError, BrokenPipeError, ValueError):
             return  # parent gone or pipe closed: nothing left to tell
 
@@ -138,7 +189,8 @@ def _serve_batch(
         dt = (time.perf_counter() - t0) / len(task_ids)
         for task_id in task_ids:
             with send_lock:
-                result_conn.send(
+                send_message(
+                    result_conn,
                     (MSG_ERROR, task_id, dt, "%s: %s" % (type(exc).__name__, exc))
                 )
         return
@@ -147,12 +199,13 @@ def _serve_batch(
         if result.error is not None:
             err = result.error
             with send_lock:
-                result_conn.send(
+                send_message(
+                    result_conn,
                     (MSG_ERROR, task_id, dt, "%s: %s" % (type(err).__name__, err))
                 )
         else:
             with send_lock:
-                result_conn.send((MSG_RESULT, task_id, dt, result.output))
+                send_message(result_conn, (MSG_RESULT, task_id, dt, result.output))
 
 
 def worker_main(
@@ -173,7 +226,8 @@ def worker_main(
     codegen_before = _codegen_compilations()
     t0 = time.perf_counter()
     runner = runner_factory()
-    result_conn.send(
+    send_message(
+        result_conn,
         (
             MSG_READY,
             index,
@@ -204,7 +258,7 @@ def worker_main(
         if msg is None:
             try:
                 with send_lock:
-                    result_conn.send((MSG_BYE, index, None))
+                    send_message(result_conn, (MSG_BYE, index, None))
             except (OSError, BrokenPipeError):
                 pass
             break
@@ -229,13 +283,14 @@ def worker_main(
             except Exception as exc:  # task-level fault: report, keep serving
                 dt = time.perf_counter() - t0
                 with send_lock:
-                    result_conn.send(
+                    send_message(
+                        result_conn,
                         (MSG_ERROR, task_id, dt, "%s: %s" % (type(exc).__name__, exc))
                     )
             else:
                 dt = time.perf_counter() - t0
                 with send_lock:
-                    result_conn.send((MSG_RESULT, task_id, dt, out))
+                    send_message(result_conn, (MSG_RESULT, task_id, dt, out))
             progress["task_seq"] += 1
     stop_beating.set()
     try:

@@ -57,7 +57,16 @@ def saturate(value: int, lo: int, hi: int) -> int:
 
 def sat16(value: int) -> int:
     """Saturate a signed value to the int16 range."""
-    return saturate(value, INT16_MIN, INT16_MAX)
+    if value < INT16_MIN:
+        return INT16_MIN
+    if value > INT16_MAX:
+        return INT16_MAX
+    return value
+
+
+# The lane helpers below sit on the SIMD hot path of every interpreter,
+# so they spell out the 16-bit sign conversion ((x ^ 0x8000) - 0x8000
+# for a 16-bit pattern x) instead of calling to_signed/to_unsigned.
 
 
 def split_lanes(value: int) -> List[int]:
@@ -65,14 +74,22 @@ def split_lanes(value: int) -> List[int]:
 
     Lane 0 ("a" in Table 1) is the least-significant 16 bits.
     """
-    return [to_signed(value >> (16 * i), 16) for i in range(4)]
+    return [
+        ((value & MASK16) ^ 0x8000) - 0x8000,
+        (((value >> 16) & MASK16) ^ 0x8000) - 0x8000,
+        (((value >> 32) & MASK16) ^ 0x8000) - 0x8000,
+        (((value >> 48) & MASK16) ^ 0x8000) - 0x8000,
+    ]
 
 
 def pack_lanes(lanes: Sequence[int]) -> int:
     """Pack four signed lane values (each truncated to 16 bits) into 64 bits."""
     if len(lanes) != 4:
         raise ValueError("expected 4 lanes, got %d" % len(lanes))
-    out = 0
-    for i, lane in enumerate(lanes):
-        out |= to_unsigned(lane, 16) << (16 * i)
-    return out
+    a, b, c, d = lanes
+    return (
+        (a & MASK16)
+        | (b & MASK16) << 16
+        | (c & MASK16) << 32
+        | (d & MASK16) << 48
+    )

@@ -39,7 +39,14 @@ from __future__ import annotations
 from typing import Callable, Dict, Sequence
 
 from repro.isa import bits
-from repro.isa.bits import MASK32, pack_lanes, sat16, split_lanes, to_signed, to_unsigned
+from repro.isa.bits import (
+    MASK32,
+    MASK64,
+    pack_lanes,
+    sat16,
+    split_lanes,
+    to_signed,
+)
 from repro.isa.opcodes import Opcode, OpGroup, group_of
 
 
@@ -114,10 +121,43 @@ def _lanes(fn: Callable[[int, int], int]) -> Callable[[int, int], int]:
     """Lift a per-lane (signed 16-bit) binary function to 4x16 SIMD."""
 
     def simd(a: int, b: int) -> int:
-        la, lb = split_lanes(a), split_lanes(b)
-        return pack_lanes([fn(la[i], lb[i]) for i in range(4)])
+        return pack_lanes(list(map(fn, split_lanes(a), split_lanes(b))))
 
     return simd
+
+
+# The hottest SIMD ops of the modem kernels get dedicated forms: lane-wise
+# logic and lane shuffles act on the packed word directly, and the
+# saturating add/sub spell out their four lanes.  Each equals its
+# lane-lifted definition bit for bit (tests/isa/test_semantics.py).
+
+_EVEN_LANES = 0x0000_FFFF_0000_FFFF
+
+
+def _sat_add_lanes(a: int, b: int) -> int:
+    """Saturating lane-wise ``a + b`` of two packed 4x16 words."""
+    out = 0
+    for shift in (0, 16, 32, 48):
+        s = ((((a >> shift) & 0xFFFF) ^ 0x8000) + (((b >> shift) & 0xFFFF) ^ 0x8000)) - 0x10000
+        if s > 0x7FFF:
+            s = 0x7FFF
+        elif s < -0x8000:
+            s = -0x8000
+        out |= (s & 0xFFFF) << shift
+    return out
+
+
+def _sat_sub_lanes(a: int, b: int) -> int:
+    """Saturating lane-wise ``a - b`` of two packed 4x16 words."""
+    out = 0
+    for shift in (0, 16, 32, 48):
+        s = (((a >> shift) & 0xFFFF) ^ 0x8000) - (((b >> shift) & 0xFFFF) ^ 0x8000)
+        if s > 0x7FFF:
+            s = 0x7FFF
+        elif s < -0x8000:
+            s = -0x8000
+        out |= (s & 0xFFFF) << shift
+    return out
 
 
 def _c4shiftl(a: int, b: int) -> int:
@@ -132,14 +172,12 @@ def _c4shiftr(a: int, b: int) -> int:
 
 def _c4swap32(a: int, b: int) -> int:
     # Swap the 32-bit halves: |a|b|c|d| -> |c|d|a|b|.
-    la = split_lanes(a)
-    return pack_lanes([la[2], la[3], la[0], la[1]])
+    return ((a & MASK32) << 32) | ((a >> 32) & MASK32)
 
 
 def _c4swap16(a: int, b: int) -> int:
     # Swap within each 32-bit pair: |a|b|c|d| -> |b|a|d|c|.
-    la = split_lanes(a)
-    return pack_lanes([la[1], la[0], la[3], la[2]])
+    return ((a & _EVEN_LANES) << 16) | ((a >> 16) & _EVEN_LANES)
 
 
 def _c4negb(a: int, b: int) -> int:
@@ -166,11 +204,11 @@ def _c4prod(a: int, b: int) -> int:
 #: customary for DSP SIMD datapaths (a wrapping add would flip signs on
 #: near-full-scale phasors).
 _SIMD_TABLE: Dict[Opcode, Callable[[int, int], int]] = {
-    Opcode.C4ADD: _lanes(lambda x, y: sat16(x + y)),
-    Opcode.C4SUB: _lanes(lambda x, y: sat16(x - y)),
-    Opcode.C4AND: _lanes(lambda x, y: x & y),
-    Opcode.C4OR: _lanes(lambda x, y: x | y),
-    Opcode.C4XOR: _lanes(lambda x, y: x ^ y),
+    Opcode.C4ADD: _sat_add_lanes,
+    Opcode.C4SUB: _sat_sub_lanes,
+    Opcode.C4AND: lambda a, b: a & b & MASK64,
+    Opcode.C4OR: lambda a, b: (a | b) & MASK64,
+    Opcode.C4XOR: lambda a, b: (a ^ b) & MASK64,
     Opcode.C4SHIFTL: _c4shiftl,
     Opcode.C4SHIFTR: _c4shiftr,
     Opcode.C4SWAP32: _c4swap32,

@@ -72,10 +72,6 @@ class CodegenUnsupported(Exception):
 #: never the sentinel), so identity checks are safe.
 _ABSENT = object()
 
-#: On-disk payload format version; bump when the generated-source shape
-#: or the call protocol of the generated functions changes.
-_DISK_FORMAT = 3
-
 _SOURCE_CACHE: Dict[tuple, str] = {}
 _FN_CACHE: Dict[tuple, Callable] = {}
 _STATS = {"compilations": 0, "memory_hits": 0, "disk_hits": 0}
@@ -117,7 +113,7 @@ def _load_disk_source(path: str, key: tuple) -> Optional[str]:
     except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
             ImportError, IndexError, MemoryError, ValueError, TypeError):
         return None
-    if not isinstance(payload, dict) or payload.get("format") != _DISK_FORMAT:
+    if not isinstance(payload, dict):
         return None
     if payload.get("key") != key:
         return None
@@ -131,7 +127,7 @@ def _store_disk_source(path: str, key: tuple, source: str) -> None:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         tmp = "%s.tmp.%d" % (path, os.getpid())
         with open(tmp, "wb") as fh:
-            pickle.dump({"format": _DISK_FORMAT, "key": key, "source": source}, fh)
+            pickle.dump({"key": key, "source": source}, fh)
         os.replace(tmp, path)
     except OSError:
         pass  # a read-only or full disk must never fail execution
@@ -139,20 +135,21 @@ def _store_disk_source(path: str, key: tuple, source: str) -> None:
 
 def _cached_source(key: tuple, kind: str, label: str, generate: Callable[[], str]) -> str:
     """Two-level lookup of generated source; mirrors ``_schedule_cached``."""
-    from repro.compiler.linker import schedule_cache_dir
+    from repro.compiler.linker import schedule_cache_dir, source_digest
 
     directory = schedule_cache_dir()
+    disk_key = (source_digest(),) + key
     source = _SOURCE_CACHE.get(key)
     if source is not None:
         _STATS["memory_hits"] += 1
         if directory is not None:
-            path = _disk_path(directory, key)
+            path = _disk_path(directory, disk_key)
             if not os.path.exists(path):
-                _store_disk_source(path, key, source)
+                _store_disk_source(path, disk_key, source)
         return source
     if directory is not None:
-        path = _disk_path(directory, key)
-        source = _load_disk_source(path, key)
+        path = _disk_path(directory, disk_key)
+        source = _load_disk_source(path, disk_key)
         if source is not None:
             _STATS["disk_hits"] += 1
             _SOURCE_CACHE[key] = source
@@ -169,7 +166,7 @@ def _cached_source(key: tuple, kind: str, label: str, generate: Callable[[], str
         )
     _SOURCE_CACHE[key] = source
     if directory is not None:
-        _store_disk_source(_disk_path(directory, key), key, source)
+        _store_disk_source(_disk_path(directory, disk_key), disk_key, source)
     return source
 
 

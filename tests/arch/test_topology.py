@@ -77,3 +77,23 @@ def test_degree_histogram_counts_all_units():
     # Dense interconnect: every unit sees at least 9 inputs (8-neighbourhood
     # can overlap with buses; all units see >= 9 due to row+col buses + self).
     assert min(hist) >= 7
+
+
+def test_neighbour_lists_are_fresh_copies():
+    """The lists are precomputed per interconnect; a caller mutating the
+    one it got must not change what the next caller sees."""
+    ic = mesh_topology(4, 4)
+    succs = ic.successors(5)
+    preds = ic.predecessors(5)
+    succs.append(99)
+    preds.clear()
+    assert ic.successors(5) == [1, 4, 5, 6, 9]
+    assert ic.predecessors(5) == [1, 4, 5, 6, 9]
+    assert ic.successors(5) is not ic.successors(5)
+
+
+def test_neighbour_lists_match_edges():
+    ic = mesh_plus_topology(3, 4)
+    for u in range(ic.n_units):
+        assert ic.successors(u) == sorted({v for s, v in ic.edges if s == u} | {u})
+        assert ic.predecessors(u) == sorted({s for s, v in ic.edges if v == u} | {u})

@@ -93,3 +93,37 @@ def test_induction_semminatics_init_offset():
     assert self_ref.distance == 1
     # First iteration reads init - step so the body sees init + k*step.
     assert self_ref.init == (100 - 8)
+
+
+def test_consumers_sees_nodes_added_after_a_query():
+    """The consumer adjacency is built lazily; add_node must invalidate it."""
+    dfg = Dfg("t")
+    a = dfg.add_node(Opcode.ADD, [Const(1), Const(2)])
+    b = dfg.add_node(Opcode.SUB, [a, Const(1)])
+    assert [c.node_id for c, _ in dfg.consumers(a.node_id)] == [b.node_id]
+    assert dfg.consumers(b.node_id) == []
+    c = dfg.add_node(Opcode.ADD, [b, a], live_out="out")
+    assert [n.node_id for n, _ in dfg.consumers(a.node_id)] == [b.node_id, c.node_id]
+    assert [n.node_id for n, _ in dfg.consumers(b.node_id)] == [c.node_id]
+
+
+def test_consumers_sees_patched_sources():
+    """Builders close recurrences by reassigning ``srcs``; that changes
+    the edges too."""
+    dfg = Dfg("t")
+    a = dfg.add_node(Opcode.ADD, [Const(1), Const(2)])
+    b = dfg.add_node(Opcode.ADD, [Const(0), Const(0)], live_out="out")
+    assert dfg.consumers(a.node_id) == []
+    dfg.nodes[b.node_id].srcs = (NodeRef(b.node_id, distance=1, init=0), a)
+    assert [n.node_id for n, _ in dfg.consumers(a.node_id)] == [b.node_id]
+    assert [ref.distance for _, ref in dfg.consumers(b.node_id)] == [1]
+
+
+def test_consumers_returns_a_fresh_list():
+    dfg = Dfg("t")
+    a = dfg.add_node(Opcode.ADD, [Const(1), Const(2)])
+    b = dfg.add_node(Opcode.SUB, [a, Const(1)], live_out="out")
+    dfg.consumers(a.node_id).clear()
+    dfg.consumers(b.node_id).append("junk")
+    assert [n.node_id for n, _ in dfg.consumers(a.node_id)] == [b.node_id]
+    assert dfg.consumers(b.node_id) == []

@@ -2,9 +2,16 @@
 
 import dataclasses
 import glob
+import json
+import os
+import shutil
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import repro
 from repro.arch import small_test_core
 from repro.arch.topology import mesh_topology
 from repro.compiler import KernelBuilder
@@ -15,8 +22,10 @@ from repro.compiler.linker import (
     configure_schedule_cache,
     schedule_cache_stats,
 )
-from repro.compiler.modulo import ModuloScheduler
+from repro.compiler.modulo import ModuloScheduler, placement_stats
 from repro.isa import Opcode
+
+_SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
 def _make_dfg(name="cache_probe"):
@@ -158,3 +167,94 @@ def test_env_var_provides_default_cache_dir(tmp_path, monkeypatch, counted_sched
     monkeypatch.setenv("REPRO_SCHEDULE_CACHE", str(tmp_path))
     _link_once(small_test_core())
     assert glob.glob(str(tmp_path / "*.sched.pkl"))
+
+
+_DIGEST_PROBE = textwrap.dedent(
+    """
+    import json
+    from repro.arch import small_test_core
+    from repro.compiler import KernelBuilder
+    from repro.compiler.linker import ProgramLinker, schedule_cache_stats
+    from repro.isa import Opcode
+    from repro.sim import Core, codegen
+
+    kb = KernelBuilder("digest_probe")
+    base = kb.live_in("base")
+    i = kb.induction(0, 4)
+    x = kb.load(Opcode.LD_I, kb.add(base, i))
+    kb.accumulate(Opcode.ADD, x, init=0, live_out="sum")
+    arch = small_test_core()
+    linker = ProgramLinker(arch)
+    linker.call_kernel(kb.finish(), live_ins={"base": 256}, trip_count=8)
+    Core(arch, linker.link(), interpreter="compiled").run()
+    print(json.dumps({
+        "schedule": schedule_cache_stats(),
+        "codegen": codegen.codegen_stats(),
+    }))
+    """
+)
+
+
+def _add_comment(path):
+    with open(path, "a") as fh:
+        fh.write("# a comment changes no behaviour, but it is a new source\n")
+
+
+def test_source_edit_invalidates_warm_disk_cache(tmp_path):
+    """The disk keys carry a digest of the package's source: after any
+    edit, even to a comment, a warm directory misses and recompiles."""
+    src = tmp_path / "src"
+    shutil.copytree(_SRC_DIR, src, ignore=shutil.ignore_patterns("__pycache__"))
+    cache = tmp_path / "cache"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(src)
+    env["REPRO_SCHEDULE_CACHE"] = str(cache)
+
+    def probe():
+        proc = subprocess.run(
+            [sys.executable, "-c", _DIGEST_PROBE],
+            capture_output=True, text=True, timeout=300, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.strip().splitlines()[-1])
+
+    cold = probe()
+    assert cold["schedule"]["misses"] == 1
+    assert cold["codegen"]["compilations"] > 0
+    warm = probe()
+    assert warm["schedule"] == {"memory_hits": 0, "disk_hits": 1, "misses": 0}
+    assert warm["codegen"]["compilations"] == 0
+
+    # The scheduler itself, then a module neither compile step imports
+    # directly but whose fields the generated code reads.
+    for edited_file in ("compiler/modulo.py", "sim/regfile.py"):
+        _add_comment(src / "repro" / edited_file)
+        edited = probe()
+        assert edited["schedule"] == {"memory_hits": 0, "disk_hits": 0, "misses": 1}
+        assert edited["codegen"]["compilations"] == cold["codegen"]["compilations"]
+        assert edited["codegen"]["disk_hits"] == 0
+
+
+def test_clear_schedule_cache_also_clears_the_placement_memo():
+    """A cleared cache must make the next link a cold one: the memo of
+    placement searches below ``schedule()`` goes too."""
+    arch = small_test_core()
+    _link_once(arch)
+    assert placement_stats() == {"searches": 1}
+    clear_schedule_cache()
+    assert placement_stats() == {"searches": 0}
+    _link_once(arch)
+    assert placement_stats() == {"searches": 1}
+
+
+def test_twin_kernel_reuses_the_placement_search(counted_schedule):
+    """Same structure, other constants and name: a schedule-cache miss,
+    but no second placement search."""
+    arch = small_test_core()
+    linker = ProgramLinker(arch)
+    linker.call_kernel(_make_dfg("twin_a"), live_ins={"base": 256}, trip_count=8)
+    linker.call_kernel(_make_dfg("twin_b"), live_ins={"base": 512}, trip_count=5)
+    linker.link()
+    assert len(counted_schedule) == 2
+    assert schedule_cache_stats()["misses"] == 2
+    assert placement_stats() == {"searches": 1}

@@ -4,6 +4,7 @@ scheduling-free; the real-modem behaviour (bit-identity, warm forks) is
 covered by ``test_fabric_modem.py``.
 """
 
+import multiprocessing
 import os
 import signal
 import time
@@ -18,6 +19,7 @@ from repro.fabric import (
     FabricTaskError,
     SubmitTimeout,
 )
+from repro.fabric.worker import FrameReader, send_message
 
 
 class _StubRunner:
@@ -191,6 +193,86 @@ def test_worker_crash_requeues_respawns_and_loses_nothing():
     assert report["counters"]["completed"] == 6
     crashed = [w for w in report["per_worker"] if w["crashes"] == 1]
     assert len(crashed) == 1 and crashed[0]["alive"], "slot respawned"
+
+
+def test_frame_reader_reassembles_frames_split_anywhere():
+    recv_end, send_end = multiprocessing.Pipe(duplex=False)
+    messages = [("ready", 0, {"spinup_s": 0.5}), ("result", 7, 0.1, b"x" * 300), ("bye", 0, None)]
+    for msg in messages:
+        send_message(send_end, msg)
+    send_end.close()
+    raw = b""
+    while True:
+        chunk = os.read(recv_end.fileno(), 1 << 16)
+        if not chunk:
+            break
+        raw += chunk
+    recv_end.close()
+    reader = FrameReader()
+    got = []
+    for i in range(len(raw)):
+        done = reader.feed(raw[i:i + 1])
+        assert reader.partial == (not done)  # a frame ends exactly here or not
+        got.extend(done)
+    assert got == messages
+    assert FrameReader().feed(raw) == messages
+
+
+class _BigResultRunner:
+    """Returns a result far larger than a pipe buffer, so sending it
+    takes many writes that only finish while the parent reads."""
+
+    def run_packet(self, rx, n_symbols=2, detect_hint=None):
+        return {"blob": bytes(4 << 20), "sum": float(np.sum(rx.real))}
+
+
+def _big_factory():
+    return _BigResultRunner()
+
+
+class _Hung(Exception):
+    pass
+
+
+def _raise_hung(signum, frame):
+    raise _Hung("the fabric blocked on a partial message")
+
+
+def test_worker_stopped_mid_message_is_killed_not_waited_on():
+    """A worker SIGSTOPped halfway through sending a result leaves a
+    partial message in its pipe.  The parent must buffer it and keep
+    pumping, so the watchdog can kill the worker and the task re-runs;
+    it used to block for ever reading the rest of the message."""
+    fab = Fabric(
+        workers=1,
+        runner_factory=_big_factory,
+        heartbeat_s=0.1,
+        watchdog_intervals=3,
+        watchdog_escalate=True,
+    )
+    previous = signal.signal(signal.SIGALRM, _raise_hung)
+    signal.alarm(60)
+    try:
+        with fab:
+            settle = time.monotonic() + 0.5
+            while time.monotonic() < settle:  # let heartbeats start
+                fab.poll(0.05)
+            rx = _packets(1)[0]
+            task_id = fab.submit(rx)
+            # Nobody reads the pipe meanwhile: the worker fills it and
+            # blocks inside the result send.
+            time.sleep(1.0)
+            os.kill(fab.worker_pids()[0], signal.SIGSTOP)
+            results = fab.drain(timeout=50)
+            report = fab.report()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert results[task_id]["sum"] == float(np.sum(rx.real))
+    assert len(results[task_id]["blob"]) == 4 << 20
+    assert report["counters"]["watchdog_kills"] >= 1
+    assert report["counters"]["respawns"] >= 1
+    assert report["counters"]["duplicates"] == 0
 
 
 def test_respawn_resets_shape_affinity_state():

@@ -11,6 +11,7 @@ from repro.isa.bits import (
     MASK32,
     MASK64,
     pack_lanes,
+    sat16,
     split_lanes,
     to_signed,
     to_unsigned,
@@ -96,6 +97,28 @@ def test_pred_constants():
     assert execute(Opcode.PRED_SET, []) == 1
 
 
+@given(u64)
+def test_split_lanes_matches_int16_view(a):
+    lanes = np.array([a], dtype="<u8").view("<i2")
+    assert split_lanes(a) == [int(x) for x in lanes]
+
+
+@given(st.lists(st.integers(min_value=-(1 << 40), max_value=1 << 40), min_size=4, max_size=4))
+def test_pack_lanes_truncates_each_lane(lanes):
+    packed = np.array(lanes, dtype=np.int64).astype("<u2").view("<u8")
+    assert pack_lanes(lanes) == int(packed[0])
+
+
+def test_pack_lanes_needs_four_lanes():
+    with pytest.raises(ValueError):
+        pack_lanes([1, 2, 3])
+
+
+@given(st.integers(min_value=-(1 << 20), max_value=1 << 20))
+def test_sat16_clips_to_int16(v):
+    assert sat16(v) == int(np.clip(v, -(1 << 15), (1 << 15) - 1))
+
+
 @given(u64, u64)
 def test_c4add_saturating_lanes(a, b):
     la = np.array(split_lanes(a), dtype=np.int32)
@@ -115,6 +138,29 @@ def test_c4sub_saturating_lanes(a, b):
 @given(u64, u64)
 def test_c4and_lanewise(a, b):
     assert execute(Opcode.C4AND, [a, b]) == (a & b)
+
+
+def _lanes_of(word):
+    return np.array([word], dtype="<u8").view("<i2")
+
+
+def _word_of(lanes):
+    return int(np.asarray(lanes, dtype="<i2").view("<u8")[0])
+
+
+@pytest.mark.parametrize(
+    "op, reference",
+    [
+        (Opcode.C4OR, lambda la, lb: la | lb),
+        (Opcode.C4XOR, lambda la, lb: la ^ lb),
+        (Opcode.C4SWAP32, lambda la, lb: la[[2, 3, 0, 1]]),
+        (Opcode.C4SWAP16, lambda la, lb: la[[1, 0, 3, 2]]),
+    ],
+)
+@given(a=u64, b=u64)
+def test_word_level_simd_ops_match_lane_definitions(op, reference, a, b):
+    srcs = [a] if op in (Opcode.C4SWAP32, Opcode.C4SWAP16) else [a, b]
+    assert execute(op, srcs) == _word_of(reference(_lanes_of(a), _lanes_of(b)))
 
 
 @given(u64, st.integers(min_value=0, max_value=15))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.compiler.linker import _SCHEDULE_CACHE, configure_schedule_cache
+from repro.compiler.linker import configure_schedule_cache
 from repro.modem.receiver import SimReceiver
 from repro.runtime import BatchReceiver, ModemRuntime, WorkerCrashError, generate_packets
 from repro.runtime import batch as batch_module
@@ -65,16 +65,12 @@ def test_fork_pool_matches_serial(cases):
         _assert_outputs_identical(a, b)
 
 
-def test_batch_8_packets_at_least_5x_faster_than_cold_runs(cases):
+def test_batch_8_packets_at_least_5x_faster_than_cold_runs(cases, cold_compile_caches):
     """The headline acceptance: one warm batch beats 8 cold compiles."""
-    saved = dict(_SCHEDULE_CACHE)
-    _SCHEDULE_CACHE.clear()
-    try:
+    with cold_compile_caches():
         t0 = time.perf_counter()
         cold_out = SimReceiver().run_packet(cases[0].rx)
         t_cold = time.perf_counter() - t0
-    finally:
-        _SCHEDULE_CACHE.update(saved)
     assert float(np.mean(cold_out.bits != cases[0].bits)) == 0.0
 
     batch = BatchReceiver()
