@@ -163,10 +163,10 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--interpreter",
-        default="decoded",
-        choices=("decoded", "compiled", "reference"),
-        help="interpreter tier for the template runtime (default decoded); "
-        "'compiled' also exercises the shared on-disk codegen cache",
+        default="compiled",
+        choices=("reference", "compiled"),
+        help="interpreter tier for the template runtime (default compiled, "
+        "which also exercises the shared on-disk codegen cache)",
     )
     parser.add_argument("--cfo", type=float, default=50e3, help="carrier offset in Hz")
     parser.add_argument("--seed", type=int, default=42, help="base packet seed")

@@ -32,7 +32,6 @@ def test_fig5_area_breakdown(benchmark, capsys, bench_report):
 
 def test_fig5_ablation_array_size(benchmark, capsys):
     """Design-space hook: the same coefficients extrapolate a 3x3 core."""
-    from repro.arch.presets import _paper_fu
     import dataclasses
 
     core = paper_core()

@@ -5,8 +5,10 @@ Measures the compile-once / run-many split of ``repro.runtime``:
 
 * a warm-up packet links every region program (and, with ``--cache``,
   populates or consumes the persistent schedule cache);
-* a timed batch of same-shape packets then runs on the resident
-  programs, and ``packets_per_sec`` is the throughput trajectory metric.
+* a timed batch of same-shape packets then runs serially on the
+  resident programs, and ``packets_per_sec`` is the throughput
+  trajectory metric (``bench_fabric_scaling.py`` owns the multi-process
+  numbers).
 
 Every packet's decoded bits are checked against the transmitted
 payload, so the bench doubles as an end-to-end smoke test.  Writes
@@ -15,7 +17,7 @@ and validates it against ``bench_report.schema.json``; exit status 0 on
 success.
 
 Run:  PYTHONPATH=src python benchmarks/bench_modem_throughput.py \\
-          [--packets N] [--workers N] [--cache DIR] [--out DIR]
+          [--packets N] [--cache DIR] [--out DIR]
 """
 
 import argparse
@@ -32,7 +34,7 @@ import numpy as np
 
 import reporting
 from repro.compiler.linker import schedule_cache_stats
-from repro.runtime import BatchReceiver, ModemRuntime, generate_packets
+from repro.runtime import ModemRuntime, generate_packets
 from repro.sim.stats import ActivityStats
 from repro.trace import schema_errors
 
@@ -40,10 +42,7 @@ from repro.trace import schema_errors
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--packets", type=int, default=8, metavar="N", help="batch size (default 8)"
-    )
-    parser.add_argument(
-        "--workers", type=int, default=1, metavar="N", help="pool size (default 1: serial)"
+        "--packets", type=int, default=8, metavar="N", help="packets to run (default 8)"
     )
     parser.add_argument(
         "--cache",
@@ -62,7 +61,6 @@ def main(argv=None) -> int:
 
     cases = generate_packets(args.packets, base_seed=args.seed, cfo_hz=args.cfo)
     runtime = ModemRuntime(cache_dir=args.cache)
-    batch = BatchReceiver(runtime=runtime, workers=args.workers)
 
     t0 = time.perf_counter()
     runtime.warm_up(cases[0].rx)
@@ -72,8 +70,12 @@ def main(argv=None) -> int:
         % (runtime.compiled_programs, warmup_wall, schedule_cache_stats())
     )
 
+    outputs, timings = [], []
     t0 = time.perf_counter()
-    outputs, timings = batch.run_timed([case.rx for case in cases])
+    for case in cases:
+        t_packet = time.perf_counter()
+        outputs.append(runtime.run_packet(case.rx))
+        timings.append(time.perf_counter() - t_packet)
     wall = time.perf_counter() - t0
 
     bers = [
@@ -85,8 +87,8 @@ def main(argv=None) -> int:
     pps = len(outputs) / wall
     latency = reporting.latency_percentiles(timings)
     print(
-        "%d packets x %d workers: %.2fs -> %.2f packets/s (mean ber %g)"
-        % (len(outputs), args.workers, wall, pps, float(np.mean(bers)))
+        "%d packets: %.2fs -> %.2f packets/s (mean ber %g)"
+        % (len(outputs), wall, pps, float(np.mean(bers)))
     )
     print(
         "per-packet latency: p50 %.3fs  p95 %.3fs  p99 %.3fs"
@@ -101,7 +103,6 @@ def main(argv=None) -> int:
 
     extra = {
         "packets": len(outputs),
-        "workers": args.workers,
         "packets_per_sec": round(pps, 3),
         "latency_s": {k: round(v, 6) for k, v in latency.items()},
         "warmup_wall_s": round(warmup_wall, 6),

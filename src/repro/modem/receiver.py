@@ -182,7 +182,7 @@ class SimReceiver:
         mem: MemoryMap = DEFAULT_MAP,
         seed: int = 0,
         tracer: Optional[Tracer] = None,
-        interpreter: str = "decoded",
+        interpreter: str = "compiled",
     ) -> None:
         self.arch = arch if arch is not None else paper_core()
         self.interpreter = interpreter

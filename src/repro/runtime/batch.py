@@ -1,22 +1,16 @@
-"""The batch runtime: link each region program once, run many packets.
+"""The per-packet runtime: link each region program once, run many packets.
 
 :class:`ModemRuntime` wraps one :class:`SimReceiver` and pins down the
 compile-once contract: the first packet of a given shape links every
 region program (hitting the two-level schedule cache for the modulo
 schedules); every later same-shape packet reuses the linked programs and
-pays only simulation time.  :class:`BatchReceiver` runs a packet list
-through one runtime, optionally fanned out over a fork-based worker
-pool — forked workers inherit the parent's warm in-memory schedule
-cache, so per-worker start-up cost is linking, not scheduling.
+pays only simulation time.  Serving many packets across processes is
+:mod:`repro.fabric`'s job.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import time
-from concurrent.futures import as_completed
-from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -28,25 +22,6 @@ from repro.phy.params import PARAMS_20MHZ_2X2, OfdmParams
 from repro.sim.stats import ActivityStats
 
 
-class WorkerCrashError(RuntimeError):
-    """A batch worker process died (e.g. was OOM-killed or SIGKILLed).
-
-    The old fork-pool path either hung forever or died opaquely when a
-    worker vanished mid-batch; this error instead names the first
-    unfinished packet index (and every other pending one) so callers
-    can retry or shed precisely.  ``repro.fabric`` goes further and
-    requeues transparently.
-    """
-
-    def __init__(self, packet_index: int, pending_indices: Sequence[int]) -> None:
-        self.packet_index = int(packet_index)
-        self.pending_indices = sorted(int(i) for i in pending_indices)
-        super().__init__(
-            "batch worker process died; packet index %d unfinished "
-            "(pending indices: %s)" % (self.packet_index, self.pending_indices)
-        )
-
-
 class ModemRuntime:
     """A resident receiver: compile on first use, re-run thereafter."""
 
@@ -56,15 +31,14 @@ class ModemRuntime:
         params: OfdmParams = PARAMS_20MHZ_2X2,
         mem: MemoryMap = DEFAULT_MAP,
         seed: int = 0,
-        interpreter: str = "decoded",
+        interpreter: str = "compiled",
         cache_dir: Optional[str] = None,
     ) -> None:
         if cache_dir is not None:
             configure_schedule_cache(cache_dir)
-        self._kwargs = dict(
+        self.receiver = SimReceiver(
             arch=arch, params=params, mem=mem, seed=seed, interpreter=interpreter
         )
-        self.receiver = SimReceiver(**self._kwargs)
         #: Packet shapes ``(n_samples, n_symbols)`` this runtime has run
         #: (== shapes whose region programs are linked and resident).
         #: ``repro.fabric`` uses this to seed shape-affinity state for
@@ -113,149 +87,3 @@ class ModemRuntime:
         """Run one representative packet to link that shape's programs."""
         return self.run_packet(rx, **kwargs)
 
-
-# ----------------------------------------------------------------------
-# Worker-pool plumbing.  The runtime lives in a module global so the
-# (fork-started) pool processes build it once in the initializer and
-# reuse it for every packet they are handed.
-# ----------------------------------------------------------------------
-
-_WORKER_RUNTIME: Optional[ModemRuntime] = None
-
-
-def _worker_init(kwargs: Dict[str, object], cache_dir: Optional[str]) -> None:
-    global _WORKER_RUNTIME
-    if cache_dir is not None:
-        configure_schedule_cache(cache_dir)
-    # A fork-started worker inherits the parent's runtime (pre-seeded by
-    # BatchReceiver.run_timed): if it was built with the same kwargs its
-    # linked region programs are already resident, so keep it instead of
-    # re-linking every region from the schedule cache per worker.
-    if _WORKER_RUNTIME is not None and _WORKER_RUNTIME._kwargs == kwargs:
-        return
-    _WORKER_RUNTIME = ModemRuntime(**kwargs)
-
-
-def _worker_run(task: Tuple[int, np.ndarray, int, Optional[int]]):
-    index, rx, n_symbols, detect_hint = task
-    assert _WORKER_RUNTIME is not None
-    t0 = time.perf_counter()
-    out = _WORKER_RUNTIME.run_packet(rx, n_symbols=n_symbols, detect_hint=detect_hint)
-    return index, out, time.perf_counter() - t0
-
-
-class BatchReceiver:
-    """Run many packets against once-linked region programs.
-
-    With ``workers <= 1`` packets run serially on one
-    :class:`ModemRuntime`.  With more workers a fork-based
-    :mod:`multiprocessing` pool is used; results always come back in
-    input order and are bit-identical to the serial path (each packet is
-    an independent pure function of its samples).
-    """
-
-    def __init__(
-        self,
-        runtime: Optional[ModemRuntime] = None,
-        workers: int = 1,
-        **runtime_kwargs,
-    ) -> None:
-        self.runtime = runtime if runtime is not None else ModemRuntime(**runtime_kwargs)
-        self.workers = max(1, int(workers))
-
-    def run(
-        self,
-        packets: Sequence[np.ndarray],
-        n_symbols: int = 2,
-        detect_hint: Optional[int] = None,
-    ) -> List[ReceiverOutput]:
-        """Process *packets* (each ``(2, n_samples)`` complex) in order.
-
-        Raises :class:`WorkerCrashError` if a pool worker process dies
-        mid-batch (the fork-pool path used to hang forever on a killed
-        worker).
-        """
-        return self.run_timed(packets, n_symbols=n_symbols, detect_hint=detect_hint)[0]
-
-    def run_timed(
-        self,
-        packets: Sequence[np.ndarray],
-        n_symbols: int = 2,
-        detect_hint: Optional[int] = None,
-    ) -> Tuple[List[ReceiverOutput], List[float]]:
-        """Like :meth:`run`, plus per-packet wall seconds (input order).
-
-        The timings are measured around each packet's simulation in
-        whichever process ran it, so latency percentiles stay meaningful
-        for both the serial and the pool path.
-        """
-        packets = list(packets)
-
-        def serial():
-            outputs, timings = [], []
-            for rx in packets:
-                t0 = time.perf_counter()
-                outputs.append(
-                    self.runtime.run_packet(rx, n_symbols=n_symbols, detect_hint=detect_hint)
-                )
-                timings.append(time.perf_counter() - t0)
-            return outputs, timings
-
-        if self.workers == 1 or len(packets) <= 1:
-            return serial()
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # platform without fork: stay correct, go serial
-            return serial()
-
-        tasks = [(i, rx, n_symbols, detect_hint) for i, rx in enumerate(packets)]
-        n_workers = min(self.workers, len(tasks))
-        results: List[Optional[ReceiverOutput]] = [None] * len(tasks)
-        timings: List[float] = [0.0] * len(tasks)
-        # Seed the module global so fork-started workers inherit THIS
-        # warm runtime (resident linked programs) rather than paying a
-        # fresh link per worker; _worker_init keeps the inherited one
-        # when the kwargs match.  Restored afterwards so nested/serial
-        # use of this process is unaffected.
-        global _WORKER_RUNTIME
-        prev_runtime = _WORKER_RUNTIME
-        _WORKER_RUNTIME = self.runtime
-        try:
-            return self._run_pool(ctx, n_workers, tasks, results, timings)
-        finally:
-            _WORKER_RUNTIME = prev_runtime
-
-    def _run_pool(self, ctx, n_workers, tasks, results, timings):
-        from repro.compiler.linker import schedule_cache_dir
-
-        with ProcessPoolExecutor(
-            max_workers=n_workers,
-            mp_context=ctx,
-            initializer=_worker_init,
-            initargs=(self.runtime._kwargs, schedule_cache_dir()),
-        ) as executor:
-            futures = {executor.submit(_worker_run, task): task[0] for task in tasks}
-            try:
-                for future in as_completed(futures):
-                    index, out, dt = future.result()
-                    results[index] = out
-                    timings[index] = dt
-            except BrokenProcessPool:
-                # as_completed may not have yielded every finished
-                # future before the crash surfaced: harvest the done,
-                # successful ones first so pending_indices names only
-                # packets that genuinely did not finish.
-                pending = []
-                for fut, i in futures.items():
-                    if not fut.done():
-                        pending.append(i)
-                        continue
-                    try:
-                        index, out, dt = fut.result()
-                    except Exception:
-                        pending.append(i)
-                    else:
-                        results[index] = out
-                        timings[index] = dt
-                raise WorkerCrashError(min(pending), pending) from None
-        return [out for out in results if out is not None], timings

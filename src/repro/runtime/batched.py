@@ -33,7 +33,6 @@ cached by :class:`SimReceiver`.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 

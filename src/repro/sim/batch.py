@@ -16,7 +16,7 @@ blindly: every dispatch groups lanes by structural signature (and, for
 kernels, by resolved trip count), so lanes that diverge — different
 ``pc``, different structure, different trips — simply drop out of the
 batch and are stepped through the ordinary per-packet compiled engines,
-which are bit-identical by the tier-3 contract.
+which are bit-identical by the compiled tier's contract.
 
 Faults are per-lane: a lane whose generated code raises (scratchpad
 bounds, VLIW runaway) is recorded in its :class:`LaneResult` and — when
@@ -37,7 +37,6 @@ from typing import Callable, Dict, List, Optional
 from repro.sim import codegen
 from repro.sim.cga import CgaFault
 from repro.sim.core import MODE_SWITCH_CYCLES, Core, SimulationError
-from repro.sim.memory import MemoryError_
 from repro.sim.vliw import StopEvent, VliwFault
 
 MASK32 = 0xFFFFFFFF

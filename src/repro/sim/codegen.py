@@ -1,8 +1,8 @@
-"""Tier-3 interpreter: compile steady-state loops to specialized Python.
+"""Compiled tier: compile steady-state loops to specialized Python.
 
-The decoded tier (:mod:`repro.sim.decode`) removed per-cycle re-decoding
-but still pays one closure call per operand read and one per operation
-per simulated cycle.  This module removes the remaining dispatch: per
+The reference interpreters re-derive every static fact (multiplexer
+selections, opcode semantics, port checks) on every simulated cycle.
+This module does that work once: per
 ``(kernel, architecture-fingerprint)`` it emits Python *source* for the
 whole CGA steady-state window — the ``II`` contexts unrolled into
 straight-line code with the output latches and hot counters as locals,
@@ -27,13 +27,13 @@ Caching is two-level, exactly like the modulo-schedule cache in
 Correctness contract: for every well-formed program the compiled tier
 produces bit-identical architectural state, cycle counts and
 :class:`~repro.sim.stats.ActivityStats` (per-cause stall counters
-included) to both the decoded and the reference tiers
-(``tests/sim/test_differential.py`` runs all three).  Central-RF port
-pressure, which the decoded tier checks dynamically through
+included) to the reference tier (``tests/sim/test_differential.py``
+diffs the two, plus the lane-batched functions).  Central-RF port
+pressure, which the reference tier checks dynamically through
 :class:`~repro.sim.regfile.RegisterFile`, is checked *statically* at
 generation time; a kernel or bundle whose worst case could overflow the
 ports raises :class:`CodegenUnsupported` and the engine silently falls
-back to the decoded tier for that kernel (keeping the dynamic check).
+back to the reference tier for that kernel (keeping the dynamic check).
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from repro.isa.opcodes import (
     latency_of,
     op_weight,
 )
-from repro.isa.semantics import DATAFLOW_GROUPS, UNARY_SIMD, handler_for, operand_count
+from repro.isa.semantics import DATAFLOW_GROUPS, handler_for, operand_count
 from repro.sim import memops
 from repro.sim.memory import MemoryError_
 from repro.sim.program import CgaKernel, DstKind, SrcKind, SrcSel, VliwBundle
@@ -64,7 +64,7 @@ from repro.trace.tracer import get_tracer
 
 class CodegenUnsupported(Exception):
     """The construct cannot be compiled with static port-pressure proof;
-    the engine falls back to the decoded tier (which checks dynamically)."""
+    the engine falls back to the reference tier (which checks dynamically)."""
 
 
 #: Sentinel marking an empty shift-register slot in generated code.  It
@@ -295,7 +295,8 @@ def _iter_cga_ops(kernel: CgaKernel) -> Iterator[Tuple[int, int, int, object]]:
 
 def _pool_value(op, src_index: Optional[int], sel: SrcSel) -> int:
     """The runtime value of an IMM selection, with the mem-offset
-    pre-scaling the decoded tier applies (IMM offset, no phi init)."""
+    pre-scaling :func:`memops.effective_address` applies (IMM offset, no
+    phi init)."""
     value = sel.value & MASK64
     if (
         src_index == 1
@@ -636,7 +637,7 @@ class _CgaGen:
         self.has_mem = any(rec.kind != "dataflow" for rec in self.ops)
         self.has_load = any(rec.kind == "load" for rec in self.ops)
 
-    # -- validation + classification (mirrors decode.decode_op) --------
+    # -- validation + classification ------------------------------------
 
     def _classify(self) -> None:
         arch, fault = self.arch, self.fault
@@ -726,11 +727,11 @@ class _CgaGen:
     def _check_port_pressure(self) -> None:
         """Static worst case per logical cycle vs. the central-RF ports.
 
-        The decoded tier enforces this dynamically (``RegisterFile``
+        The reference tier enforces this dynamically (``RegisterFile``
         raises ``PortOverflowError``); the compiled tier skips the
         per-access bookkeeping, which is only sound when no cycle *can*
         overflow.  Squashed operations read fewer ports, so counting
-        every site is conservative.  During the drain the decoded tier
+        every site is conservative.  During the drain the reference tier
         never calls ``begin_cycle``, so its port window spans the last
         logical cycle plus the whole drain — modelled the same here.
         """
@@ -777,7 +778,7 @@ class _CgaGen:
     def _base_read(self, lines: List[str], ind: str, sel: SrcSel, fu: int,
                    imm_slot: Optional[int], tally=None) -> str:
         """Statements for a source read's side effects; returns the value
-        expression.  Mirrors the decoded tier's reader closures.  With
+        expression.  Mirrors the reference tier's ``_read_src``.  With
         *tally*, unconditional access counts accumulate statically
         instead of emitting per-read increments."""
         kind = sel.kind
@@ -817,7 +818,7 @@ class _CgaGen:
 
         A phi (``sel.init is not None``) reads the initial immediate on
         iteration 0 without touching the base location (and without its
-        stats), exactly like the decoded reader.  *it0* resolves the
+        stats), exactly like the reference reader.  *it0* resolves the
         phi statically (trip-specialized emission): ``True`` means this
         slot is the op's iteration 0, ``None`` keeps the runtime test on
         *it_var*."""
@@ -1308,7 +1309,7 @@ class _CgaGen:
             w(ind + "    drain = %d" % d)
             self._emit_commit_writes(lines, ind + "    ", rec, "v", static_j=j)
         # Batched accounting for unpredicated ops (closed form in trip),
-        # then the stats flush the decoded tier performs per run.
+        # then the stats flush, once per run.
         easy_fu: Dict[int, int] = {}
         easy_g: Dict[OpGroup, int] = {}
         easy_total = 0
@@ -1371,8 +1372,7 @@ def cga_runner(kernel: CgaKernel, arch: CgaArchitecture, fault,
     ``patch_constants`` variants through the structural cache key);
     ``imms`` is this kernel's immediate pool to pass at call time.
     Raises :class:`CodegenUnsupported` when the static port-pressure
-    proof fails, and *fault* for malformed kernels (same messages as the
-    decoded tier's ``decode_kernel``).
+    proof fails, and *fault* for malformed kernels.
     """
     key = ("cga", arch.fingerprint(), cga_signature(kernel))
 
@@ -1451,8 +1451,8 @@ def _iter_vliw_sites(bundles, start_pc: int, end_pc: int):
 
 
 def _vliw_imm_value(inst, src_index: int, operand) -> int:
-    """Runtime pool value of one VLIW immediate, with the decoded tier's
-    per-role transform: branch targets and CGA kernel ids stay raw,
+    """Runtime pool value of one VLIW immediate, with a per-role
+    transform: branch targets and CGA kernel ids stay raw,
     memory offsets are pre-scaled raw, everything else is encoded into
     64 bits two's-complement."""
     group = group_of(inst.opcode)
@@ -1933,7 +1933,7 @@ class _VliwGen:
             w(bind + "vliw_cycles += 1")
             w(bind + "cycle += 1")
         # Terminator epilogue: the last bundle may have taken a branch
-        # (stop wins over a taken branch, exactly like the decoded loop).
+        # (stop wins over a taken branch, exactly like the reference loop).
         if has_branch:
             w(bind + "if stop is None and taken:")
             w(bind + "    dead = bl - 1")
@@ -1975,8 +1975,8 @@ def vliw_runner(bundles, start_pc: int, slot_fus, cdrf, cprf, fault):
     """Return ``(fn, imms)`` for the straight-line segment at *start_pc*.
 
     Raises :class:`CodegenUnsupported` when the static port-pressure
-    proof fails (the engine pins a fallback-to-decoded marker), and
-    *fault* for malformed bundles (same messages as the decoded tier).
+    proof fails (the engine pins a fallback-to-reference marker), and
+    *fault* for malformed bundles.
     """
     from repro.sim.vliw import StopEvent  # lazy: vliw.py imports this module
 

@@ -45,11 +45,12 @@ class Core:
         arch: CgaArchitecture,
         program: Program,
         tracer: Optional[Tracer] = None,
-        interpreter: str = "decoded",
+        interpreter: str = "compiled",
     ) -> None:
-        if interpreter not in ("decoded", "reference", "compiled"):
+        if interpreter not in ("compiled", "reference"):
             raise ValueError(
-                "interpreter must be 'decoded', 'reference' or 'compiled'"
+                "interpreter must be 'compiled' or 'reference', not %r"
+                % (interpreter,)
             )
         self.arch = arch
         self.program = program
@@ -99,9 +100,6 @@ class Core:
             stats=self.stats,
             tracer=self.tracer,
         )
-        use_decoded = interpreter in ("decoded", "compiled")
-        self.vliw.use_decoded = use_decoded
-        self.cga.use_decoded = use_decoded
         use_compiled = interpreter == "compiled"
         self.vliw.use_compiled = use_compiled
         self.cga.use_compiled = use_compiled
@@ -118,16 +116,15 @@ class Core:
 
         Used by the batched runtime to re-drive resident cores with
         ``patch_constants`` variants of a linked program.  The VLIW
-        engine's per-pc decode/compile caches hold immediate pools read
-        from the bundle objects, so they are dropped whenever the
-        program object actually changes; rebinding the same object is
-        free and keeps every cache warm.
+        engine's per-pc compile cache holds immediate pools read from the
+        bundle objects, so it is dropped whenever the program object
+        actually changes; rebinding the same object is free and keeps
+        the cache warm.
         """
         if program is self.program:
             return
         self.program = program
         self.vliw.bundles = program.bundles
-        self.vliw._decoded = []
         self.vliw._compiled = []
 
     def load_configuration(self, stall_core: bool = False) -> int:

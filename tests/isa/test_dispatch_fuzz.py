@@ -1,6 +1,6 @@
 """Fuzz the dispatch-table handlers against the if-chain reference.
 
-The decoded execution engines bind one handler per opcode via
+The code generator binds one handler per opcode via
 :func:`repro.isa.semantics.handler_for` (O(1) dict dispatch).  The
 original :func:`repro.isa.semantics.execute` if-chain is kept as the
 reference semantics.  This module hammers every dataflow opcode with

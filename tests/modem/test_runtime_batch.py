@@ -1,7 +1,6 @@
-"""Batch runtime tests: bit-identity, throughput, pool and disk cache."""
+"""Runtime tests: bit-identity, warm-vs-cold throughput and disk cache."""
 
 import os
-import signal
 import subprocess
 import sys
 import textwrap
@@ -13,8 +12,7 @@ import pytest
 import repro
 from repro.compiler.linker import configure_schedule_cache
 from repro.modem.receiver import SimReceiver
-from repro.runtime import BatchReceiver, ModemRuntime, WorkerCrashError, generate_packets
-from repro.runtime import batch as batch_module
+from repro.runtime import ModemRuntime, generate_packets
 
 _SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -43,75 +41,38 @@ def _assert_outputs_identical(a, b):
 
 def test_batch_bit_identical_to_per_packet_receivers(cases):
     subset = cases[:3]
-    batch = BatchReceiver()
-    batched = batch.run([case.rx for case in subset])
-    assert len(batched) == len(subset)
-    # The batch relinked nothing after the first packet: one program set.
-    programs_after_first = batch.runtime.compiled_programs
-    for out, case in zip(batched, subset):
+    runtime = ModemRuntime()
+    outputs = [runtime.run_packet(subset[0].rx)]
+    programs_after_first = runtime.compiled_programs
+    outputs += [runtime.run_packet(case.rx) for case in subset[1:]]
+    # The runtime relinked nothing after the first packet: one program set.
+    assert runtime.compiled_programs == programs_after_first
+    for out, case in zip(outputs, subset):
         assert float(np.mean(out.bits != case.bits)) == 0.0
-    assert batch.runtime.compiled_programs == programs_after_first
-    for out, case in zip(batched, subset):
+    for out, case in zip(outputs, subset):
         solo = SimReceiver().run_packet(case.rx)
         _assert_outputs_identical(out, solo)
 
 
-def test_fork_pool_matches_serial(cases):
-    subset = [case.rx for case in cases[:2]]
-    serial = BatchReceiver(workers=1).run(subset)
-    pooled = BatchReceiver(workers=2).run(subset)
-    assert len(pooled) == 2
-    for a, b in zip(serial, pooled):
-        _assert_outputs_identical(a, b)
-
-
 def test_batch_8_packets_at_least_5x_faster_than_cold_runs(cases, cold_compile_caches):
-    """The headline acceptance: one warm batch beats 8 cold compiles."""
+    """The headline acceptance: 8 packets on one warm runtime beat 8
+    cold compiles."""
     with cold_compile_caches():
         t0 = time.perf_counter()
         cold_out = SimReceiver().run_packet(cases[0].rx)
         t_cold = time.perf_counter() - t0
     assert float(np.mean(cold_out.bits != cases[0].bits)) == 0.0
 
-    batch = BatchReceiver()
+    runtime = ModemRuntime()
     t0 = time.perf_counter()
-    outputs = batch.run([case.rx for case in cases])
+    outputs = [runtime.run_packet(case.rx) for case in cases]
     t_batch = time.perf_counter() - t0
     assert len(outputs) == len(cases)
     for out, case in zip(outputs, cases):
         assert float(np.mean(out.bits != case.bits)) == 0.0
-    # 8 cold per-packet runs would cost ~8 * t_cold; the batch must be
-    # at least 5x cheaper end-to-end (it is ~40x in practice).
+    # 8 cold per-packet runs would cost ~8 * t_cold; the warm loop must
+    # be at least 5x cheaper end-to-end.
     assert len(cases) * t_cold >= 5 * t_batch, (t_cold, t_batch)
-
-
-def _noop_init(kwargs, cache_dir):
-    """Pool initializer stub: skip runtime construction in the workers."""
-
-
-def _suicide_run(task):
-    """Pool task stub: packet 0's worker dies the way an OOM kill looks."""
-    index, rx, n_symbols, detect_hint = task
-    if index == 0:
-        os.kill(os.getpid(), signal.SIGKILL)
-    time.sleep(0.05)
-    return index, None, 0.0
-
-
-def test_killed_pool_worker_raises_typed_crash_error(monkeypatch):
-    """ISSUE satellite: a killed fork-pool worker used to hang the batch
-    (or die opaquely); it must now raise WorkerCrashError naming the
-    failed packet index."""
-    monkeypatch.setattr(batch_module, "_worker_init", _noop_init)
-    monkeypatch.setattr(batch_module, "_worker_run", _suicide_run)
-    batch = BatchReceiver(workers=2)
-    packets = [np.zeros((2, 400), dtype=np.complex128) for _ in range(3)]
-    with pytest.raises(WorkerCrashError) as excinfo:
-        batch.run(packets)
-    err = excinfo.value
-    assert err.packet_index == 0
-    assert 0 in err.pending_indices
-    assert "packet index 0" in str(err)
 
 
 def test_batched_runtime_ragged_chunk_is_not_a_fallback(cases):
@@ -141,16 +102,6 @@ def test_runtime_tracks_warmed_shapes(cases):
     assert runtime.warmed_shapes == {shape}
     runtime.run_packet(cases[1].rx)  # same shape: still one entry
     assert runtime.warmed_shapes == {shape}
-
-
-def test_run_timed_reports_per_packet_wall(cases):
-    batch = BatchReceiver()
-    subset = [case.rx for case in cases[:2]]
-    outputs, timings = batch.run_timed(subset)
-    assert len(outputs) == len(timings) == 2
-    assert all(dt > 0 for dt in timings)
-    for out, case in zip(outputs, cases[:2]):
-        assert float(np.mean(out.bits != case.bits)) == 0.0
 
 
 def test_fresh_process_with_warm_disk_cache_never_schedules(tmp_path, cases):

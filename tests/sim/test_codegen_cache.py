@@ -1,7 +1,7 @@
 """Codegen-cache tests: LRU bounds, disk persistence, corruption healing.
 
-Mirrors ``tests/compiler/test_schedule_cache.py`` for the tier-3 source
-cache (`src/repro/sim/codegen.py`), plus the regression test for the
+Mirrors ``tests/compiler/test_schedule_cache.py`` for the compiled-tier
+source cache (`src/repro/sim/codegen.py`), plus the regression test for the
 ``CgaEngine`` kernel-pinning leak the LRU bound fixes.
 """
 
@@ -69,7 +69,7 @@ def _template_program():
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("interpreter", ["decoded", "compiled"])
+@pytest.mark.parametrize("interpreter", ["compiled"])
 def test_engine_kernel_caches_are_bounded(interpreter):
     """A long-lived engine fed many ``patch_constants`` variants (the
     fabric-worker pattern) must not pin every kernel it ever ran."""
@@ -82,17 +82,15 @@ def test_engine_kernel_caches_are_bounded(interpreter):
         assert end > core.cycle
         assert core.cdrf.peek(10) == 4 * value
         core.cdrf.poke(10, 0)
-    assert len(core.cga._decoded) <= KERNEL_CACHE_BOUND
     assert len(core.cga._compiled) <= KERNEL_CACHE_BOUND
     # Structural sharing still holds: N variants, at most one compile.
-    if interpreter == "compiled":
-        assert codegen.codegen_stats()["compilations"] <= 1
+    assert codegen.codegen_stats()["compilations"] <= 1
 
 
 def test_recycled_kernel_id_is_not_a_stale_hit():
     """`id()` reuse after garbage collection must miss, not alias."""
     template = _template_program()
-    core = Core(paper_core(), template, interpreter="decoded")
+    core = Core(paper_core(), template, interpreter="compiled")
     seen = []
     for value in (5, 9):
         variant = patch_constants(template, {_SENTINEL: value})

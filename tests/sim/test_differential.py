@@ -1,18 +1,19 @@
-"""Differential harness: all four interpreter tiers against each other.
+"""Differential harness: the reference and compiled tiers against each other.
 
-Every program here runs under ``Core(interpreter="decoded")``,
-``Core(interpreter="reference")`` and ``Core(interpreter="compiled")``,
-plus the lane-batched tier (:mod:`repro.sim.batch` driving the SoA
-functions from ``cga_batch_runner`` / ``vliw_batch_runner``), and the
-final machine state must be **bit-identical**: cycle counts, every
-register file, scratchpad memory, and the full
-:class:`~repro.sim.stats.ActivityStats` including per-cause stall
-counters.  This is the correctness contract of the pre-decode layer
-(`src/repro/sim/decode.py`) and of the tier-3 code generator
-(`src/repro/sim/codegen.py`): lowering is an optimisation, never a
-semantic change.  The batched tier additionally proves its divergence
-story here: ragged widths, per-lane immediate pools, and mid-batch
-faults that fall back to per-packet execution bit-identically.
+Every program here runs under ``Core(interpreter="reference")`` and
+``Core(interpreter="compiled")``, plus the lane-batched tier
+(:mod:`repro.sim.batch` driving the SoA functions from
+``cga_batch_runner`` / ``vliw_batch_runner``), and the final machine
+state must be **bit-identical**: cycle counts, every register file,
+scratchpad memory, and the full :class:`~repro.sim.stats.ActivityStats`
+including per-cause stall counters.  This is the correctness contract of
+the code generator (`src/repro/sim/codegen.py`): generated code is an
+optimisation, never a semantic change.  The batched tier additionally
+proves its divergence story here: ragged widths, per-lane immediate
+pools, and mid-batch faults that fall back to per-packet execution
+bit-identically.  When codegen refuses a kernel or segment
+(``CodegenUnsupported``) the engines fall back to the reference tier;
+the forced-fallback tests below hold that path to the same contract.
 """
 
 import pytest
@@ -47,41 +48,41 @@ def enter_and_halt(kernel_id=0):
     ]
 
 
-def assert_identical(decoded: Core, reference: Core) -> None:
+def assert_identical(core: Core, reference: Core) -> None:
     """Assert bit-identical architectural state and statistics."""
-    assert decoded.cycle == reference.cycle, "cycle counts differ"
-    assert decoded.pc == reference.pc
-    assert decoded.halted == reference.halted
-    assert decoded.kernel_log == reference.kernel_log
-    n = decoded.cdrf.entries
-    assert [decoded.cdrf.peek(i) for i in range(n)] == [
+    assert core.cycle == reference.cycle, "cycle counts differ"
+    assert core.pc == reference.pc
+    assert core.halted == reference.halted
+    assert core.kernel_log == reference.kernel_log
+    n = core.cdrf.entries
+    assert [core.cdrf.peek(i) for i in range(n)] == [
         reference.cdrf.peek(i) for i in range(n)
     ], "CDRF contents differ"
-    n = decoded.cprf.entries
-    assert [decoded.cprf.peek(i) for i in range(n)] == [
+    n = core.cprf.entries
+    assert [core.cprf.peek(i) for i in range(n)] == [
         reference.cprf.peek(i) for i in range(n)
     ], "CPRF contents differ"
-    assert set(decoded.local_rfs) == set(reference.local_rfs)
-    for fu, lrf in decoded.local_rfs.items():
+    assert set(core.local_rfs) == set(reference.local_rfs)
+    for fu, lrf in core.local_rfs.items():
         ref = reference.local_rfs[fu]
         assert [lrf.peek(i) for i in range(lrf.entries)] == [
             ref.peek(i) for i in range(ref.entries)
         ], "local RF %d contents differ" % fu
-    assert bytes(decoded.scratchpad._mem) == bytes(
+    assert bytes(core.scratchpad._mem) == bytes(
         reference.scratchpad._mem
     ), "scratchpad contents differ"
     for name in _SCALAR_FIELDS:
-        assert getattr(decoded.stats, name) == getattr(reference.stats, name), (
-            "stats.%s differs: decoded=%r reference=%r"
-            % (name, getattr(decoded.stats, name), getattr(reference.stats, name))
+        assert getattr(core.stats, name) == getattr(reference.stats, name), (
+            "stats.%s differs: core=%r reference=%r"
+            % (name, getattr(core.stats, name), getattr(reference.stats, name))
         )
     for name in _COUNTER_FIELDS:
-        dec = {k: v for k, v in getattr(decoded.stats, name).items() if v}
+        got = {k: v for k, v in getattr(core.stats, name).items() if v}
         ref = {k: v for k, v in getattr(reference.stats, name).items() if v}
-        assert dec == ref, "stats.%s differs" % name
+        assert got == ref, "stats.%s differs" % name
 
 
-INTERPRETERS = ("decoded", "reference", "compiled")
+INTERPRETERS = ("reference", "compiled")
 
 #: Lanes driven through the batched tier by :func:`run_both`; a small
 #: odd width so the batch fns differ from any pre-seeded cache entries.
@@ -315,6 +316,14 @@ def test_cga_kernel_differential(build):
     run_both(program, pokes=pokes, mem=mem)
 
 
+def test_core_accepts_only_the_two_tiers():
+    program = Program(bundles=enter_and_halt(), kernels={0: k_accumulator()[0]})
+    core = Core(paper_core(), program)
+    assert core.cga.use_compiled and core.vliw.use_compiled  # the default
+    with pytest.raises(ValueError, match="'compiled' or 'reference'"):
+        Core(paper_core(), program, interpreter="decoded")
+
+
 def test_zero_trip_differential():
     kernel, _, _ = k_accumulator()
     kernel = CgaKernel(
@@ -326,7 +335,7 @@ def test_zero_trip_differential():
 
 
 def test_repeated_kernel_entry_uses_cache():
-    """Entering the same kernel twice exercises the decode cache."""
+    """Entering the same kernel twice exercises the compiled-kernel cache."""
     kernel, _, _ = k_accumulator()
     bundles = [
         VliwBundle((Instruction(Opcode.CGA, srcs=(Imm(0),)), None, None)),
@@ -544,9 +553,9 @@ def test_compiled_xcorr_differential():
 # ----------------------------------------------------------------------
 
 
-def _maker(program, pokes=(), mem=()):
+def _maker(program, pokes=(), mem=(), interpreter="compiled"):
     def make_core():
-        core = Core(paper_core(), program, interpreter="compiled")
+        core = Core(paper_core(), program, interpreter=interpreter)
         for reg, value in pokes:
             core.cdrf.poke(reg, value)
         for addr, value, size in mem:
@@ -713,3 +722,120 @@ def test_batched_fault_without_fresh_records_error():
     assert isinstance(results[0].error, CgaFault)
     assert not results[0].fell_back
     assert results[1].error is None and results[2].error is None
+
+
+# ----------------------------------------------------------------------
+# Forced fallback: codegen refuses, the reference tier runs instead
+# ----------------------------------------------------------------------
+
+
+def _refuse(*args, **kwargs):
+    from repro.sim import codegen
+
+    raise codegen.CodegenUnsupported("refused for the fallback test")
+
+
+def _loop_then_kernel_program():
+    """A counted VLIW loop, a load/accumulate kernel, then more VLIW:
+    several segments and one kernel launch, so both engines fall back."""
+    kernel, pokes, mem = k_pipelined_load()
+    bundles = [
+        VliwBundle((
+            Instruction(Opcode.ADD, srcs=(Imm(0), Imm(3)), dst=Reg(1)),
+            None,
+            None,
+        )),
+        VliwBundle((
+            Instruction(Opcode.ADD, srcs=(Reg(2), Reg(1)), dst=Reg(2)),
+            Instruction(Opcode.PRED_GT, srcs=(Reg(1), Imm(1)), dst=PredReg(1)),
+            Instruction(Opcode.SUB, srcs=(Reg(1), Imm(1)), dst=Reg(1)),
+        )),
+        VliwBundle((Instruction(Opcode.BR, srcs=(Imm(-2),), pred=PredReg(1)), None, None)),
+        VliwBundle((Instruction(Opcode.CGA, srcs=(Imm(0),)), None, None)),
+        VliwBundle((
+            Instruction(Opcode.ST_I, srcs=(Imm(256), Imm(0), Reg(20))),
+            Instruction(Opcode.ADD, srcs=(Reg(20), Reg(2)), dst=Reg(3)),
+            None,
+        )),
+        VliwBundle((Instruction(Opcode.HALT), None, None)),
+    ]
+    return Program(bundles=bundles, kernels={0: kernel}), pokes, mem
+
+
+@pytest.mark.parametrize(
+    "refused",
+    [("cga_runner",), ("vliw_runner",), ("cga_runner", "vliw_runner"), ("first_segment",)],
+    ids=lambda r: "+".join(r),
+)
+def test_codegen_refusal_falls_back_to_reference(monkeypatch, refused):
+    """A kernel or segment ``codegen`` refuses runs on the reference tier
+    and the whole run stays bit-identical to an all-reference run, also
+    when compiled and reference segments interleave in one program."""
+    from repro.sim import codegen
+
+    program, pokes, mem = _loop_then_kernel_program()
+    make_core = _maker(program, pokes, mem)
+    reference = _maker(program, pokes, mem, interpreter="reference")()
+    reference.run()
+    assert reference.cdrf.peek(3) == reference.cdrf.peek(20) + 6  # 3+2+1
+
+    if refused == ("first_segment",):
+        real = codegen.vliw_runner
+
+        def refuse_pc0(bundles, start_pc, *args, **kwargs):
+            if start_pc == 0:
+                _refuse()
+            return real(bundles, start_pc, *args, **kwargs)
+
+        monkeypatch.setattr(codegen, "vliw_runner", refuse_pc0)
+    else:
+        for name in refused:
+            monkeypatch.setattr(codegen, name, _refuse)
+    core = make_core()
+    core.run()
+    assert_identical(core, reference)
+
+    # The engines pinned the refusal instead of retrying codegen.
+    kernel_fns = [fn for _k, fn, _imms in core.cga._compiled.values()]
+    assert kernel_fns and all(
+        (fn is None) == ("cga_runner" in refused) for fn in kernel_fns
+    )
+    segments = [entry for entry in core.vliw._compiled if entry is not None]
+    if "vliw_runner" in refused:
+        assert segments and all(entry is False for entry in segments)
+    elif refused == ("first_segment",):
+        assert core.vliw._compiled[0] is False
+        assert any(entry not in (None, False) for entry in segments)
+    else:
+        assert segments and all(entry is not False for entry in segments)
+
+
+@pytest.mark.parametrize("per_packet_refused", [False, True],
+                         ids=["to_compiled", "to_reference"])
+def test_batched_refusal_falls_back_per_packet(monkeypatch, per_packet_refused):
+    """Lanes whose batch functions ``codegen`` refuses step per packet
+    (compiled, or reference when that is refused too), bit-identical to
+    an all-reference run and without counting as a fault fallback."""
+    from repro.sim import codegen
+
+    program, pokes, mem = _loop_then_kernel_program()
+    make_core = _maker(program, pokes, mem)
+    reference = _maker(program, pokes, mem, interpreter="reference")()
+    reference.run()
+
+    monkeypatch.setattr(codegen, "cga_batch_runner", _refuse)
+    monkeypatch.setattr(codegen, "vliw_batch_runner", _refuse)
+    if per_packet_refused:
+        monkeypatch.setattr(codegen, "cga_runner", _refuse)
+        monkeypatch.setattr(codegen, "vliw_runner", _refuse)
+    runner = BatchProgramRunner()
+    results = runner.run([make_core() for _ in range(BATCH_LANES)],
+                         fresh=lambda i: make_core())
+    for lane in results:
+        assert lane.error is None and not lane.fell_back
+        assert_identical(lane.core, reference)
+        kernel_fns = [fn for _k, fn, _imms in lane.core.cga._compiled.values()]
+        assert kernel_fns and all((fn is None) == per_packet_refused
+                                  for fn in kernel_fns)
+    assert runner._cga_fns and all(fn is None for fn in runner._cga_fns.values())
+    assert runner._vliw_fns and all(fn is None for fn in runner._vliw_fns.values())

@@ -1,6 +1,6 @@
-"""Tracing must stay zero-cost on the decoded fast path.
+"""Tracing must stay zero-cost on the compiled tier (the default).
 
-When no tracer is attached (``NULL_TRACER``), the decoded engines may
+When no tracer is attached (``NULL_TRACER``), the generated code may
 consult the tracer only O(1) times per mode switch / kernel entry —
 never once per simulated cycle or per op.  The proof: run the same
 kernel at two trip counts an order of magnitude apart and require the

@@ -11,6 +11,7 @@ from repro.compiler.linker import ProgramLinker
 from repro.isa import Opcode
 from repro.sim import Core
 from repro.trace import Tracer, set_tracer
+from tests.conftest import _cold_compile_caches
 
 
 def build_fir_dfg(taps: int = 4):
@@ -35,23 +36,25 @@ def fir_run():
     """Compile and simulate the FIR kernel with tracing on.
 
     The tracer is installed process-wide during compilation so the
-    modulo scheduler's II-search events land in the same buffer the
-    simulator fills.
+    modulo scheduler's II-search and the code generator's compile events
+    land in the same buffer the simulator fills.  Every compile cache
+    starts cold, so those events do not depend on which tests ran first.
     """
     arch = paper_core()
     tracer = Tracer()
     previous = set_tracer(tracer)
     try:
-        linker = ProgramLinker(arch, name="fir", seed=0)
-        linker.call_kernel(
-            build_fir_dfg(), live_ins={"src": 64, "dst": 2048}, trip_count=16
-        )
-        program = linker.link()
-        core = Core(arch, program, tracer=tracer)
-        core.load_configuration()
-        profiles = []
-        with core.region("fir4", profiles, ii=linker.kernel_results[0].ii):
-            core.run()
+        with _cold_compile_caches():
+            linker = ProgramLinker(arch, name="fir", seed=0)
+            linker.call_kernel(
+                build_fir_dfg(), live_ins={"src": 64, "dst": 2048}, trip_count=16
+            )
+            program = linker.link()
+            core = Core(arch, program, tracer=tracer)
+            core.load_configuration()
+            profiles = []
+            with core.region("fir4", profiles, ii=linker.kernel_results[0].ii):
+                core.run()
     finally:
         set_tracer(previous)
     return SimpleNamespace(
