@@ -13,8 +13,8 @@ template on the shared schedule/codegen cache directory, and asserts:
   batched tasks than dispatches, and the per-worker occupancy gauge is
   present in ``/metrics``-style exposition (``repro_fabric_worker_batch_occupancy``);
 * **bit-identity vs serial** — every fabric result (bits, detect
-  position, stats, memory image) equals the same packet run through a
-  warm per-packet compiled :class:`~repro.runtime.ModemRuntime`.
+  position, stats, memory image) equals the same packet run alone (a
+  chunk of one) through a warm :class:`~repro.runtime.ModemRuntime`.
 
 Run it twice against the same ``--cache`` directory (as CI does) and the
 second run also proves the disk-warm start: the parent template links
@@ -92,7 +92,7 @@ def main(argv=None) -> int:
 
     cases = generate_packets(args.packets, base_seed=args.seed, cfo_hz=50e3)
 
-    # Serial reference: the warm per-packet compiled tier.
+    # Serial reference: one packet at a time (width 1) on a warm runtime.
     serial = ModemRuntime(cache_dir=args.cache, interpreter="compiled")
     serial.warm_up(cases[0].rx)
     serial_outputs = [serial.run_packet(case.rx) for case in cases]

@@ -16,15 +16,20 @@ The sweep structure:
 * a **warm** run per tier (``compiled`` always, ``reference`` with
   ``--reference``) repeats the packet with the
   process-wide schedule and codegen caches populated, isolating pure
-  simulation speed (best wall of three timed repetitions); per-tier
+  simulation speed (best wall of three timed repetitions).  It goes
+  through ``run_reference_modem``, so every region builds a fresh core
+  whose engines run the generated functions at width 1; per-tier
   numbers land in ``extra.tiers`` and the pairwise ratios in
   ``extra.speedups``;
 * a **batched** run per width B in {1, 4, 16}: a resident
-  :class:`~repro.runtime.BatchedModemRuntime` processes B copies of the
-  packet per ``run_batch`` call (tier keys ``batched_b<B>``, throughput
-  normalised per packet).  ``--min-batched-speedup`` gates the best
-  batched tier against the per-packet compiled tier — the CI regression
-  gate for the cross-packet batching work.
+  :class:`~repro.runtime.ModemRuntime` (``BatchedModemRuntime`` is the
+  same class) processes B copies of the packet per ``run_batch`` call
+  on its resident lane cores (tier keys ``batched_b<B>``, throughput
+  normalised per packet; ``batched_b1`` is the resident width-1 path
+  that ``run_packet`` takes).  ``--min-batched-speedup`` gates the best
+  batched tier of width B > 1 against the per-packet compiled tier — the
+  CI regression gate for the cross-packet batching work (``batched_b1``
+  batches nothing, so it is reported but not gated).
 
 Every warm run's cycle count and decoded bits are checked for equality
 against the cold run (the bit-exact contract; the exhaustive diff lives
@@ -100,8 +105,8 @@ def main(argv=None) -> int:
         type=float,
         default=0.0,
         metavar="X",
-        help="fail unless the best batched tier is at least X times the "
-        "warm per-packet compiled tier (0 disables the gate)",
+        help="fail unless the best batched tier of width > 1 is at least X "
+        "times the warm per-packet compiled tier (0 disables the gate)",
     )
     args = parser.parse_args(argv)
 
@@ -194,7 +199,7 @@ def main(argv=None) -> int:
 
     if args.min_batched_speedup > 0:
         best = max(
-            speedups["batched_b%d_vs_compiled" % b] for b in BATCH_WIDTHS
+            speedups["batched_b%d_vs_compiled" % b] for b in BATCH_WIDTHS if b > 1
         )
         if best < args.min_batched_speedup:
             print(

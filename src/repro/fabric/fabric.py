@@ -53,7 +53,6 @@ from repro.fabric.worker import (
     MSG_READY,
     MSG_RESULT,
     FrameReader,
-    default_runner_factory,
     worker_main,
 )
 from repro.obs.heartbeat import Watchdog
@@ -206,9 +205,9 @@ class Fabric:
         self.backpressure = backpressure
         self.queue_depth = int(queue_depth)
         self.max_inflight = int(max_inflight)
-        #: Batch-drain width: with ``batch > 1`` workers run a batched
-        #: runtime and ``_feed`` coalesces up to this many same-shape
-        #: queued tasks into one dispatch message.
+        #: Batch-drain width: the default template runtime runs chunks
+        #: this wide, and with ``batch > 1`` ``_feed`` coalesces up to
+        #: this many same-shape queued tasks into one dispatch message.
         self.batch = int(batch)
         self.submit_timeout_s = submit_timeout_s
         self.deadline_s = deadline_s
@@ -275,24 +274,16 @@ class Fabric:
             raise FabricClosed("fabric already shut down")
         if self._runner_factory is None and (warm_packets or self._template is None):
             if self._template is None:
-                if self.batch > 1:
-                    # Batch-drain mode: workers fork a warm batched
-                    # runtime so coalesced dispatches run in lockstep
-                    # (falling back per packet bit-identically on
-                    # divergence).
-                    from repro.runtime import BatchedModemRuntime
+                # Workers fork this warm runtime; with batch > 1 they run
+                # coalesced dispatches in lockstep (falling back per
+                # packet bit-identically on divergence).
+                from repro.runtime import ModemRuntime
 
-                    self._template = BatchedModemRuntime(
-                        cache_dir=self._cache_dir,
-                        batch=self.batch,
-                        **self._runtime_kwargs,
-                    )
-                else:
-                    from repro.runtime import ModemRuntime
-
-                    self._template = ModemRuntime(
-                        cache_dir=self._cache_dir, **self._runtime_kwargs
-                    )
+                self._template = ModemRuntime(
+                    cache_dir=self._cache_dir,
+                    batch=self.batch,
+                    **self._runtime_kwargs,
+                )
             for rx in warm_packets:
                 self._template.warm_up(rx)
         for slot in range(self.n_workers):
@@ -333,9 +324,12 @@ class Fabric:
                 close_in_child.extend([other.task_conn, other.result_conn])
         factory = self._runner_factory
         if factory is None:
-            factory = default_runner_factory(
-                self._template, self._runtime_kwargs, self._cache_dir
-            )
+            # Real modem packets: the child reuses the forked template
+            # (start() always builds and warms one before spawning).
+            template = self._template
+
+            def factory():
+                return template
         proc = self._ctx.Process(
             target=worker_main,
             args=(slot, task_recv, result_send, close_in_child, factory,
@@ -533,7 +527,7 @@ class Fabric:
         """Pop up to ``batch`` coalescable pending tasks.
 
         Tasks coalesce only while they share (shape, n_symbols,
-        detect_hint) — the batched runtime buckets by shape, and the
+        detect_hint) — the runtime buckets by shape, and the
         other two ride per dispatch message.  Late deadline shedding is
         identical to the single-task path: expired packets resolve to
         :class:`DeadlineExceeded` and never reach the pipe.
@@ -996,7 +990,9 @@ class Fabric:
                     "spinup_s": state.spinup_s,
                     "spinup_schedule_misses": state.spinup_schedule_misses,
                     "spinup_codegen_compilations": state.spinup_codegen_compilations,
-                    "spinup_batched": state.spinup_batched,
+                    "spinup_batched": (
+                        state.spinup_batched if self.batch > 1 else None
+                    ),
                     "batches": state.batches if self.batch > 1 else None,
                     "batched_tasks": (
                         state.batched_tasks if self.batch > 1 else None

@@ -50,7 +50,7 @@ import pickle
 import struct
 import threading
 import time
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 from repro.obs.heartbeat import heartbeat_payload
 
@@ -102,29 +102,6 @@ class FrameReader:
         return messages
 
 
-def default_runner_factory(
-    template: Optional[object],
-    runtime_kwargs: Optional[dict],
-    cache_dir: Optional[str],
-) -> Callable[[], object]:
-    """The runner factory used when the fabric serves real modem packets.
-
-    Returns a zero-argument callable run *in the child*: it reuses the
-    forked *template* runtime when one exists (zero spin-up work) and
-    otherwise builds a fresh :class:`~repro.runtime.ModemRuntime`
-    against the persistent schedule cache.
-    """
-
-    def build():
-        if template is not None:
-            return template
-        from repro.runtime import ModemRuntime
-
-        return ModemRuntime(cache_dir=cache_dir, **(runtime_kwargs or {}))
-
-    return build
-
-
 def _schedule_misses() -> int:
     from repro.compiler.linker import schedule_cache_stats
 
@@ -171,7 +148,7 @@ def _heartbeat_loop(
 def _serve_batch(
     runner, send_lock, result_conn, task_ids, rxs, n_symbols, detect_hint
 ) -> None:
-    """Run one coalesced dispatch through the batched runtime.
+    """Run one coalesced dispatch through ``runner.run_batch_results``.
 
     Every task still gets its own result message (the parent's
     exactly-once accounting is per task id); the wall time of the whole

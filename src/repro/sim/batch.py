@@ -1,13 +1,14 @@
 """Cross-packet lockstep batch driver for the compiled tier.
 
-:class:`BatchProgramRunner` advances several structurally-identical
+:class:`BatchProgramRunner` advances one or more structurally-identical
 :class:`~repro.sim.core.Core` instances ("lanes") to completion in
 lockstep, replicating :meth:`Core.run` bit-exactly while replacing the
 hot inner execution with the lane-batched functions emitted by
 :mod:`repro.sim.codegen` (:func:`~repro.sim.codegen.cga_batch_runner` /
 :func:`~repro.sim.codegen.vliw_batch_runner`): one Python frame advances
 every lane through a VLIW segment or a whole CGA steady-state window,
-amortizing interpreter overhead across the batch.
+amortizing interpreter overhead across the batch.  A single lane is a
+batch of width 1 and takes the same generated functions.
 
 Lanes are expected to run ``patch_constants`` variants of one linked
 program — immediate *values* may differ per lane (delivered as per-lane
@@ -15,8 +16,8 @@ imm pools), structure may not.  The driver does not trust that contract
 blindly: every dispatch groups lanes by structural signature (and, for
 kernels, by resolved trip count), so lanes that diverge — different
 ``pc``, different structure, different trips — simply drop out of the
-batch and are stepped through the ordinary per-packet compiled engines,
-which are bit-identical by the compiled tier's contract.
+batch and are stepped one by one through the cores' own engines, which
+are bit-identical by the compiled tier's contract.
 
 Faults are per-lane: a lane whose generated code raises (scratchpad
 bounds, VLIW runaway) is recorded in its :class:`LaneResult` and — when
@@ -38,8 +39,6 @@ from repro.sim import codegen
 from repro.sim.cga import CgaFault
 from repro.sim.core import MODE_SWITCH_CYCLES, Core, SimulationError
 from repro.sim.vliw import StopEvent, VliwFault
-
-MASK32 = 0xFFFFFFFF
 
 _UNSET = object()
 
@@ -225,7 +224,7 @@ class BatchProgramRunner:
             convergent = len(groups) == 1
             for (pc, sid), lanes in groups.items():
                 fn = None
-                if convergent and len(lanes) > 1:
+                if convergent:
                     core0 = results[lanes[0]].core
                     try:
                         fn = self._vliw_fn(core0, pc, sid, len(lanes))
@@ -242,8 +241,8 @@ class BatchProgramRunner:
         return stop_ev
 
     def _vliw_individual(self, lanes, results, stop_ev, fail) -> None:
-        """Per-packet compiled stepping for divergent / unsupported /
-        singleton lanes: one full ``vliw.run`` to the next stop event."""
+        """Per-core stepping for divergent lanes and refused segments:
+        one full ``vliw.run`` to the next stop event."""
         for i in lanes:
             core = results[i].core
             try:
@@ -320,12 +319,11 @@ class BatchProgramRunner:
             # Mode switch in (Core._run_kernel).
             core.stats.cga_cycles += MODE_SWITCH_CYCLES
             core.cycle += MODE_SWITCH_CYCLES
-            trip = kernel.trip_count
-            if trip is None:
-                if kernel.trip_count_reg is None:
-                    fail(i, CgaFault("kernel %s has no trip count" % kernel.name))
-                    continue
-                trip = core.cdrf.peek(kernel.trip_count_reg) & MASK32
+            try:
+                trip = core.cga.trip_of(kernel)
+            except CgaFault as exc:
+                fail(i, exc)
+                continue
             if trip <= 0:
                 core.kernel_log.append({"kernel": kernel.name, "cycles": 0})
                 core.stats.cga_cycles += MODE_SWITCH_CYCLES
@@ -337,7 +335,7 @@ class BatchProgramRunner:
         convergent = len(groups) == 1
         for (sid, trip), lanes in groups.items():
             fn = None
-            if convergent and len(lanes) > 1:
+            if convergent:
                 core0 = results[lanes[0]].core
                 try:
                     fn = self._cga_fn(core0, ginfo[lanes[0]][0], sid, trip,
@@ -352,8 +350,9 @@ class BatchProgramRunner:
             self._cga_batch_step(fn, trip, lanes, ginfo, results, fail)
 
     def _cga_individual(self, lanes, ginfo, results, fail) -> None:
-        """Per-packet compiled kernel execution (the engine applies
-        preloads and resolves the trip itself, exactly as in Core.run)."""
+        """Per-core kernel execution for divergent lanes and refused
+        kernels (the engine applies preloads and resolves the trip
+        itself, exactly as in Core.run)."""
         for i in lanes:
             core = results[i].core
             kernel = ginfo[i][0]
@@ -374,12 +373,10 @@ class BatchProgramRunner:
         # preload side effects.
         ready: List[int] = []
         for i in lanes:
-            kernel = ginfo[i][0]
-            bad = next((p for p in kernel.preloads
-                        if p.fu not in results[i].core.local_rfs), None)
-            if bad is not None:
-                fail(i, CgaFault(
-                    "preload targets FU%d without a local RF" % bad.fu))
+            try:
+                results[i].core.cga.check_preloads(ginfo[i][0])
+            except CgaFault as exc:
+                fail(i, exc)
             else:
                 ready.append(i)
         if len(ready) != len(lanes):
@@ -390,18 +387,8 @@ class BatchProgramRunner:
         start_cycles = []
         for i in ready:
             core = results[i].core
-            kernel = ginfo[i][0]
-            local_rfs = core.local_rfs
-            cdrf_peek = core.cdrf.peek
-            for preload in kernel.preloads:
-                local_rfs[preload.fu].write(
-                    preload.lrf_index, cdrf_peek(preload.cdrf_reg))
-                core.stats.cdrf_reads += 1
-            out_latch = core.cga._out_latch
-            for j in range(len(out_latch)):
-                out_latch[j] = 0
+            pre = core.cga.preload(ginfo[i][0])
             starts.append(core.cycle)
-            pre = (len(kernel.preloads) + 1) // 2
             preload_cycles_s.append(pre)
             start_cycles.append(core.cycle + pre)
         m = len(ready)
@@ -431,11 +418,3 @@ class BatchProgramRunner:
                 {"kernel": ginfo[i][0].name, "cycles": ends[k] - starts[k]})
             core.stats.cga_cycles += MODE_SWITCH_CYCLES
             core.cycle += MODE_SWITCH_CYCLES
-
-
-def run_batch(cores: List[Core],
-              fresh: Optional[Callable[[int], Core]] = None,
-              max_cycles: int = 10_000_000) -> List[LaneResult]:
-    """Convenience one-shot wrapper: drive *cores* to completion with a
-    throwaway :class:`BatchProgramRunner`."""
-    return BatchProgramRunner(max_cycles=max_cycles).run(cores, fresh=fresh)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.arch.config import CgaArchitecture
 from repro.isa.bits import MASK32, MASK64
@@ -43,7 +43,6 @@ from repro.sim.program import CgaKernel, CgaOp, DstKind, SrcKind, SrcSel
 from repro.sim.regfile import LocalRegisterFile, PredicateFile, RegisterFile
 from repro.sim.stats import ActivityStats
 from repro.trace.events import StallCause
-from repro.trace.tracer import NULL_TRACER, Tracer
 
 
 class CgaFault(Exception):
@@ -78,7 +77,6 @@ class CgaEngine:
         local_rfs: Dict[int, LocalRegisterFile],
         scratchpad: Scratchpad,
         stats: ActivityStats,
-        tracer: Optional[Tracer] = None,
     ) -> None:
         self.arch = arch
         self.cdrf = cdrf
@@ -86,7 +84,6 @@ class CgaEngine:
         self.local_rfs = local_rfs
         self.scratchpad = scratchpad
         self.stats = stats
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         #: Output latches, one per unit; cleared at every kernel entry.
         self._out_latch: List[int] = [0] * arch.n_units
         #: Compiled-runner LRU keyed by kernel object identity, bounded by
@@ -165,6 +162,31 @@ class CgaEngine:
                     self.cprf.write(dst.index, wr.value & 1)
         pending[:] = remaining
 
+    def trip_of(self, kernel: CgaKernel) -> int:
+        """The kernel's trip count: static, or read from its register."""
+        if kernel.trip_count is not None:
+            return kernel.trip_count
+        if kernel.trip_count_reg is None:
+            raise CgaFault("kernel %s has no trip count" % kernel.name)
+        return self.cdrf.peek(kernel.trip_count_reg) & MASK32
+
+    def check_preloads(self, kernel: CgaKernel) -> None:
+        """Raise the preload fault, if any, without touching any state."""
+        for preload in kernel.preloads:
+            if preload.fu not in self.local_rfs:
+                raise CgaFault("preload targets FU%d without a local RF" % preload.fu)
+
+    def preload(self, kernel: CgaKernel) -> int:
+        """Kernel entry shared by both tiers: copy loop-invariant live-ins
+        into local register files (two per cycle through the shared read
+        ports) and clear the output latches; returns the preload cycles."""
+        self.check_preloads(kernel)
+        for preload in kernel.preloads:
+            self.local_rfs[preload.fu].write(preload.lrf_index, self.cdrf.peek(preload.cdrf_reg))
+            self.stats.cdrf_reads += 1
+        self._out_latch[:] = [0] * self.arch.n_units
+        return (len(kernel.preloads) + 1) // 2
+
     # ------------------------------------------------------------------
 
     def run(self, kernel: CgaKernel, start_cycle: int) -> int:
@@ -180,17 +202,15 @@ class CgaEngine:
         return self.run_reference(kernel, start_cycle)
 
     def run_compiled(self, kernel: CgaKernel, start_cycle: int) -> int:
-        """Compiled tier: run the kernel's generated specialized function.
+        """Compiled tier: run the kernel's generated function at width 1
+        (one-element structure-of-arrays arguments, see
+        :func:`repro.sim.codegen.cga_batch_runner`).
 
         Falls back to :meth:`run_reference` (permanently, per kernel) when
         :mod:`repro.sim.codegen` refuses the kernel, e.g. because it
         cannot statically prove central-RF port safety.
         """
-        trip = kernel.trip_count
-        if trip is None:
-            if kernel.trip_count_reg is None:
-                raise CgaFault("kernel %s has no trip count" % kernel.name)
-            trip = self.cdrf.peek(kernel.trip_count_reg) & MASK32
+        trip = self.trip_of(kernel)
         if trip <= 0:
             return start_cycle
         kid = id(kernel)
@@ -217,33 +237,14 @@ class CgaEngine:
         _, fn, imms = entry
         if fn is None:
             return self.run_reference(kernel, start_cycle)
-
-        stats = self.stats
-        local_rfs = self.local_rfs
-        cdrf_peek = self.cdrf.peek
-        for preload in kernel.preloads:
-            if preload.fu not in local_rfs:
-                raise CgaFault("preload targets FU%d without a local RF" % preload.fu)
-            local_rfs[preload.fu].write(preload.lrf_index, cdrf_peek(preload.cdrf_reg))
-            stats.cdrf_reads += 1
-        preload_cycles = (len(kernel.preloads) + 1) // 2
-        start_cycle += preload_cycles
-        out_latch = self._out_latch
-        for i in range(len(out_latch)):
-            out_latch[i] = 0
-        return fn(
-            trip,
-            start_cycle,
-            preload_cycles,
-            imms,
-            out_latch,
-            self.cdrf._regs,
-            self.cprf._regs,
-            local_rfs,
-            stats,
-            self.scratchpad.timed_read,
-            self.scratchpad.timed_write,
-        )
+        preload_cycles = self.preload(kernel)
+        ends, faults = [0], [None]
+        fn([trip], [start_cycle + preload_cycles], [preload_cycles], [imms],
+           [self._out_latch], [self.cdrf._regs], [self.cprf._regs],
+           [self.local_rfs], [self.scratchpad], [self.stats], ends, faults)
+        if faults[0] is not None:
+            raise faults[0]
+        return ends[0]
 
     # ------------------------------------------------------------------
 
@@ -253,22 +254,10 @@ class CgaEngine:
         Kept as the ground truth the compiled tier is differentially
         tested against; every static fact is re-derived each cycle.
         """
-        trip = kernel.trip_count
-        if trip is None:
-            if kernel.trip_count_reg is None:
-                raise CgaFault("kernel %s has no trip count" % kernel.name)
-            trip = self.cdrf.peek(kernel.trip_count_reg) & MASK32
+        trip = self.trip_of(kernel)
         if trip <= 0:
             return start_cycle
-        # Preload loop-invariant live-ins into local register files
-        # (two per cycle through the shared read ports).
-        for preload in kernel.preloads:
-            if preload.fu not in self.local_rfs:
-                raise CgaFault("preload targets FU%d without a local RF" % preload.fu)
-            value = self.cdrf.peek(preload.cdrf_reg)
-            self.local_rfs[preload.fu].write(preload.lrf_index, value)
-            self.stats.cdrf_reads += 1
-        preload_cycles = (len(kernel.preloads) + 1) // 2
+        preload_cycles = self.preload(kernel)
         self.stats.cga_cycles += preload_cycles
         start_cycle += preload_cycles
         ii = kernel.ii
@@ -276,7 +265,6 @@ class CgaEngine:
         total_logical = (trip + stages - 1) * ii
         pending: List[_PendingWrite] = []
         stall_offset = 0
-        self._out_latch[:] = [0] * self.arch.n_units
 
         for logical in range(total_logical):
             self._commit(pending, logical, trip)

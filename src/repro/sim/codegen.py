@@ -11,6 +11,15 @@ replaced by per-operation shift registers whose commits are scheduled
 statically — plus straight-line runs of VLIW bundles (one generated
 function per branch-free segment).
 
+There is one emitter per engine.  Every generated function is
+lane-batched: it advances ``n_lanes >= 1`` packets back to back through
+structure-of-arrays arguments, with the scratchpad and instruction-cache
+models inlined.  The engines run the width-1 function
+(:func:`cga_runner` / :func:`vliw_runner`); the lockstep driver in
+:mod:`repro.sim.batch` runs every width (:func:`cga_batch_runner` /
+:func:`vliw_batch_runner`).  Generated code carries no tracer hooks, so
+a core with an enabled tracer runs the reference engines instead.
+
 Caching is two-level, exactly like the modulo-schedule cache in
 :mod:`repro.compiler.linker`:
 
@@ -27,8 +36,8 @@ Caching is two-level, exactly like the modulo-schedule cache in
 Correctness contract: for every well-formed program the compiled tier
 produces bit-identical architectural state, cycle counts and
 :class:`~repro.sim.stats.ActivityStats` (per-cause stall counters
-included) to the reference tier (``tests/sim/test_differential.py``
-diffs the two, plus the lane-batched functions).  Central-RF port
+included) to the reference tier at every width
+(``tests/sim/test_differential.py`` diffs them).  Central-RF port
 pressure, which the reference tier checks dynamically through
 :class:`~repro.sim.regfile.RegisterFile`, is checked *statically* at
 generation time; a kernel or bundle whose worst case could overflow the
@@ -39,6 +48,7 @@ back to the reference tier for that kernel (keeping the dynamic check).
 from __future__ import annotations
 
 import hashlib
+import linecache
 import os
 import pickle
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
@@ -184,13 +194,27 @@ def _base_namespace() -> Dict[str, object]:
     return ns
 
 
-def _compiled_fn(key: tuple, source: str, fn_name: str, extra: Dict[str, object]) -> Callable:
-    """``compile()`` + ``exec`` the source once per process, per key."""
+def _compiled_fn(key: tuple, source: str, fn_name: str, extra: Dict[str, object],
+                 label: str) -> Callable:
+    """``compile()`` + ``exec`` the source once per process, per key.
+
+    Each function gets its own file name — *label* plus a digest of the
+    key, so structurally different functions never share one — and its
+    source is registered (lazily) with :mod:`linecache`.  Profilers then
+    report one row per generated function and tracebacks show generated
+    lines.
+    """
     fn = _FN_CACHE.get(key)
     if fn is None:
+        digest = hashlib.sha256(repr(key).encode("utf-8")).hexdigest()[:10]
+        # No ``<...>`` brackets: linecache expands lazy entries only for
+        # names without them, and a lazy entry keeps no second copy of
+        # the source until a traceback asks for it.
+        filename = "codegen:%s %s" % (label, digest)
+        linecache.cache[filename] = (lambda: source,)
         ns = _base_namespace()
         ns.update(extra)
-        code = compile(source, "<repro.sim.codegen:%s>" % fn_name, "exec")
+        code = compile(source, filename, "exec")
         exec(code, ns)
         fn = ns[fn_name]
         _FN_CACHE[key] = fn
@@ -198,16 +222,15 @@ def _compiled_fn(key: tuple, source: str, fn_name: str, extra: Dict[str, object]
 
 
 # ----------------------------------------------------------------------
-# Inline memory model (batch mode only)
+# Inline memory model
 # ----------------------------------------------------------------------
 #
-# The per-packet tier reaches the scratchpad through bound methods
-# (``Scratchpad.timed_read``/``timed_write``); the lane-batched tier
-# inlines the same semantics — bounds check, per-bank busy clocks,
-# conflict accounting — against per-lane ``_mem``/``_bank_next_free``
-# views, so the geometry constants baked into the source must appear in
-# the batch cache keys.  Counter locals (``n_l1r``/``n_l1w``/``n_bc``/
-# ``bc_stall``) are flushed to the lane's ActivityStats exactly once.
+# Generated code inlines ``Scratchpad.timed_read``/``timed_write`` —
+# bounds check, per-bank busy clocks, conflict accounting — against
+# per-lane ``_mem``/``_bank_next_free`` views, so the geometry constants
+# baked into the source must appear in the cache keys.  Counter locals
+# (``n_l1r``/``n_l1w``/``n_bc``/``bc_stall``) are flushed to the lane's
+# ActivityStats exactly once.
 
 
 def _emit_arbitrate(lines: List[str], ind: str, cycle_var: str,
@@ -611,8 +634,7 @@ class _CgaGen:
 
     def __init__(self, kernel: CgaKernel, arch: CgaArchitecture, fault,
                  cdrf_ports: Tuple[int, int], cprf_ports: Tuple[int, int],
-                 n_lanes: Optional[int] = None,
-                 trip: Optional[int] = None) -> None:
+                 n_lanes: int, trip: Optional[int] = None) -> None:
         self.kernel = kernel
         self.arch = arch
         self.fault = fault
@@ -621,12 +643,11 @@ class _CgaGen:
         self.cdrf_mask = (1 << arch.cdrf.width) - 1
         self.cprf_mask = 1  # PredicateFile is 1-bit regardless of arch.cprf
         self.n_lanes = n_lanes
-        self.batch = n_lanes is not None
-        #: Trip-count specialization (batch tier): with a concrete trip
-        #: the whole modulo schedule is compile-time, so the iteration
-        #: loop splits into unrolled prologue/epilogue slots and a
-        #: guard-free steady state.
-        self.trip = trip if (trip is not None and trip >= 1) else None
+        #: Trip-count specialization: with a concrete trip the whole
+        #: modulo schedule is compile-time, so the iteration loop splits
+        #: into unrolled prologue/epilogue slots and a guard-free steady
+        #: state.  ``None`` emits the runtime-guarded loop.
+        self.trip = trip
         self.pool, self.pool_index = _cga_pool_map(kernel)
         self.latch_fus = set()
         self.lrf_fus = set()
@@ -946,12 +967,9 @@ class _CgaGen:
                 % (ind, base, off)
             )
         if rec.kind == "load":
-            if self.batch:
-                _emit_inline_read(lines, ind, "physical", info.size,
-                                  self.arch.l1.banks, self.arch.l1.bytes,
-                                  tally=tally)
-            else:
-                lines.append(ind + "raw, extra = timed_read(physical, addr, %d)" % info.size)
+            _emit_inline_read(lines, ind, "physical", info.size,
+                              self.arch.l1.banks, self.arch.l1.bytes,
+                              tally=tally)
             lines.append(ind + "stall_offset += extra")
             target = "w%d_%d" % (rec.oid, rec.n - 1)
             if info.size == 8:
@@ -965,17 +983,11 @@ class _CgaGen:
             sv = self._read_operand(lines, ind, rec, "src", 2, op.srcs[2], it_var, "c",
                                     it0=it0, tally=tally)
             mask = (1 << (info.size * 8)) - 1
-            if self.batch:
-                lines.append(ind + "v_st = (%s) & %d" % (sv, mask))
-                _emit_inline_write(lines, ind, "physical", info.size,
-                                   self.arch.l1.banks, self.arch.l1.bytes,
-                                   tally=tally)
-                lines.append(ind + "stall_offset += extra")
-            else:
-                lines.append(
-                    "%sstall_offset += timed_write(physical, addr, (%s) & %d, %d)"
-                    % (ind, sv, mask, info.size)
-                )
+            lines.append(ind + "v_st = (%s) & %d" % (sv, mask))
+            _emit_inline_write(lines, ind, "physical", info.size,
+                               self.arch.l1.banks, self.arch.l1.bytes,
+                               tally=tally)
+            lines.append(ind + "stall_offset += extra")
 
     def _emit_issue(self, lines: List[str], ind: str, rec: _CgaChain, it_var: str,
                     it0: Optional[bool] = None, tally=None) -> None:
@@ -1003,26 +1015,16 @@ class _CgaGen:
     # -- whole-function assembly ---------------------------------------
 
     def generate(self) -> str:
-        lines: List[str] = []
-        lines.append(
-            "def _cga_run(trip, start_cycle, preload_cycles, imms, out_latch, CD, CP,"
-            " local_rfs, stats, timed_read, timed_write):"
-        )
-        self._emit_lane(lines, "    ", "return %s")
-        return "\n".join(lines) + "\n"
-
-    def generate_batch(self) -> str:
-        """Lane-batched variant: one function advancing ``n_lanes``
-        packets' steady-state windows back to back through
-        structure-of-arrays arguments, with the scratchpad model inlined
-        against per-lane byte views and bank clocks.  A lane that
-        faults lands its exception in ``faults[lane]`` — its partial
-        state is unusable (deferred counters are lost) and the caller
-        must re-run that lane per-packet from scratch — while the
-        remaining lanes complete normally."""
+        """One function advancing ``n_lanes`` packets' steady-state
+        windows back to back through structure-of-arrays arguments, with
+        the scratchpad model inlined against per-lane byte views and
+        bank clocks.  A lane that faults lands its exception in
+        ``faults[lane]`` — its partial state is unusable (deferred
+        counters are lost) and the caller must re-run that lane from
+        scratch — while the remaining lanes complete normally."""
         lines: List[str] = []
         w = lines.append
-        w("def _cga_run_batch(trips, start_cycles, preload_cycles_s, imms_s,"
+        w("def _cga_run(trips, start_cycles, preload_cycles_s, imms_s,"
           " out_latch_s, CD_s, CP_s, local_rfs_s, mem_s, stats_s, ends, faults):")
         if self.has_load:
             w("    _fb = int.from_bytes")
@@ -1042,16 +1044,16 @@ class _CgaGen:
             w(ind + "_sp = mem_s[_b]")
             w(ind + "M = _sp._mem")
             w(ind + "BNF = _sp._bank_next_free")
-        self._emit_lane(lines, ind, "ends[_b] = %s")
+        self._emit_lane(lines, ind)
         w("        except _ME as exc:")
         w("            faults[_b] = exc")
         return "\n".join(lines) + "\n"
 
-    # -- trip-specialized emission (batch tier) ------------------------
+    # -- trip-specialized emission ---------------------------------------
     #
     # When the batch driver groups lanes it already keys on the resolved
-    # trip count, so the batch function may legally bake the trip into
-    # the source.  With a concrete trip the entire modulo schedule is
+    # trip count, so the generated function may legally bake the trip
+    # into the source.  With a concrete trip the entire modulo schedule is
     # compile-time: which stages are active, whether a latch chain holds
     # a value, whether an operand is in its phi iteration and whether a
     # ``last_iteration_only`` write fires all become functions of the
@@ -1244,7 +1246,7 @@ class _CgaGen:
 
     # -- lane assembly --------------------------------------------------
 
-    def _emit_lane(self, lines: List[str], ind: str, result_tmpl: str) -> None:
+    def _emit_lane(self, lines: List[str], ind: str) -> None:
         k = self.kernel
         ii = k.ii
         k1 = k.stage_count - 1
@@ -1288,7 +1290,7 @@ class _CgaGen:
                 w(ind + "w%d_%d = _A" % (rec.oid, j))
         w(ind + "stall_offset = 0")
         w(ind + "n_cdrf_r = n_cdrf_w = n_cprf_r = n_cprf_w = n_lrf_r = n_lrf_w = n_itx = 0")
-        if self.batch and self.has_mem:
+        if self.has_mem:
             w(ind + "n_l1r = n_l1w = n_bc = bc_stall = 0")
         w(ind + "squashed = 0")
         w(ind + "pred_weight = 0")
@@ -1353,7 +1355,7 @@ class _CgaGen:
         w(ind + "stats.squashed_ops += squashed")
         w(ind + "stats.config_words += %d * total_logical" % k.context_words)
         w(ind + "stats.cga_cycles += preload_cycles + total_logical + drain + stall_offset")
-        if self.batch and self.has_mem:
+        if self.has_mem:
             w(ind + "stats.l1_reads += n_l1r")
             w(ind + "stats.l1_writes += n_l1w")
             w(ind + "stats.l1_bank_conflicts += n_bc")
@@ -1361,62 +1363,72 @@ class _CgaGen:
         w(ind + "stats.add_stall(_BC, stall_offset)")
         for fu in sorted(self.latch_fus):
             w(ind + "out_latch[%d] = l_%d" % (fu, fu))
-        w(ind + result_tmpl % "start_cycle + total_logical + stall_offset + drain")
+        w(ind + "ends[_b] = start_cycle + total_logical + stall_offset + drain")
+
+
+def _cga_function(kernel: CgaKernel, arch: CgaArchitecture, fault,
+                  cdrf_ports: Tuple[int, int], cprf_ports: Tuple[int, int],
+                  n_lanes: int, trip: Optional[int]) -> Callable:
+    """The ``n_lanes``-wide function of *kernel*, shared by both public
+    factories so wrapping one never nests the other.  Width 1 ignores
+    *trip*: engines and single driver lanes share one guarded loop per
+    kernel, since the modem's trip-specialized bodies are 4x the source
+    (3.1 vs 0.8 MB), kept ~20 MB more resident per process and ran a
+    warm width-1 packet no faster (0.07-0.11 s either way, 2 cores)."""
+    n_lanes = int(n_lanes)
+    trip = int(trip) if trip is not None and trip >= 1 and n_lanes > 1 else None
+    key = ("cga", arch.fingerprint(), n_lanes, trip, cga_signature(kernel))
+
+    def gen() -> str:
+        return _CgaGen(kernel, arch, fault, cdrf_ports, cprf_ports,
+                       n_lanes, trip=trip).generate()
+
+    source = _cached_source(key, "cga", kernel.name, gen)
+    label = "cga %s w%d%s" % (kernel.name, n_lanes, "" if trip is None else " t%d" % trip)
+    return _compiled_fn(key, source, "_cga_run", {"_ME": MemoryError_}, label)
 
 
 def cga_runner(kernel: CgaKernel, arch: CgaArchitecture, fault,
                cdrf_ports: Tuple[int, int], cprf_ports: Tuple[int, int]):
     """Return ``(fn, imms)`` for *kernel* on *arch*.
 
-    ``fn`` is the compiled steady-state function (shared across
-    ``patch_constants`` variants through the structural cache key);
-    ``imms`` is this kernel's immediate pool to pass at call time.
-    Raises :class:`CodegenUnsupported` when the static port-pressure
-    proof fails, and *fault* for malformed kernels.
+    ``fn`` is the width-1 generated function (see
+    :func:`cga_batch_runner` for its arguments), compiled for any trip
+    count — the lockstep driver's single lanes run the same one — and
+    shared across ``patch_constants`` variants through the structural
+    cache key; ``imms`` is this kernel's immediate pool to
+    pass at call time.  Raises :class:`CodegenUnsupported` when the
+    static port-pressure proof fails, and *fault* for malformed kernels.
     """
-    key = ("cga", arch.fingerprint(), cga_signature(kernel))
-
-    def gen() -> str:
-        return _CgaGen(kernel, arch, fault, cdrf_ports, cprf_ports).generate()
-
-    source = _cached_source(key, "cga", kernel.name, gen)
-    fn = _compiled_fn(key, source, "_cga_run", {})
+    fn = _cga_function(kernel, arch, fault, cdrf_ports, cprf_ports, 1, None)
     return fn, cga_imms(kernel)
 
 
 def cga_batch_runner(kernel: CgaKernel, arch: CgaArchitecture, fault,
                      cdrf_ports: Tuple[int, int], cprf_ports: Tuple[int, int],
                      n_lanes: int, trip: Optional[int] = None):
-    """Return the lane-batched steady-state function for *kernel*.
+    """Return the ``n_lanes``-wide generated function for *kernel*.
 
-    Same contracts as :func:`cga_runner`, but the compiled function
-    advances ``n_lanes`` packets per call through structure-of-arrays
-    arguments (``trips``, per-lane immediate pools, per-lane register
-    backing lists, per-lane scratchpads) and the batch width joins the
-    cache key — the L1 geometry it inlines is already covered by
+    Same contracts as :func:`cga_runner`.  The function advances
+    ``n_lanes`` packets per call through structure-of-arrays arguments
+    (``trips``, per-lane immediate pools, per-lane register backing
+    lists, per-lane scratchpads) and the width joins the cache key —
+    the L1 geometry it inlines is already covered by
     ``arch.fingerprint()``.  Per-lane pools come from :func:`cga_imms`
     of each ``patch_constants`` variant, so every lane shares this one
     compile.  Lanes must have ``trip >= 1``; the caller filters the
     rest.  Faulted lanes (``faults[lane]`` set) carry unusable partial
-    state and must be re-run per-packet from scratch.
+    state and must be re-run from scratch.
 
-    With *trip* (the batch driver groups lanes by resolved trip count
-    anyway) the function is additionally specialized on the trip: the
-    schedule guards disappear into unrolled prologue/epilogue slots
-    around a guard-free steady-state loop.  The trip joins the cache
-    key; trips per kernel come from a small fixed set (the region
-    programs bake them in), so the key space stays bounded.
+    With *trip* and ``n_lanes > 1`` (the batch driver groups lanes by
+    resolved trip count anyway) the function is additionally specialized
+    on the trip: the schedule guards disappear into unrolled
+    prologue/epilogue slots around a guard-free steady-state loop.  The
+    trip joins the cache key; trips per kernel come from a small fixed
+    set (the region programs bake them in), so the key space stays
+    bounded.  At width 1 the trip is ignored (see :func:`cga_runner`).
     """
-    key = ("cga-batch", arch.fingerprint(), int(n_lanes),
-           None if trip is None else int(trip), cga_signature(kernel))
-
-    def gen() -> str:
-        return _CgaGen(kernel, arch, fault, cdrf_ports, cprf_ports,
-                       n_lanes=int(n_lanes),
-                       trip=None if trip is None else int(trip)).generate_batch()
-
-    source = _cached_source(key, "cga-batch", kernel.name, gen)
-    return _compiled_fn(key, source, "_cga_run_batch", {"_ME": MemoryError_})
+    return _cga_function(kernel, arch, fault, cdrf_ports, cprf_ports, n_lanes, trip)
 
 
 # ----------------------------------------------------------------------
@@ -1512,9 +1524,8 @@ class _VliwGen:
     """Emits the straight-line function of one branch-free segment."""
 
     def __init__(self, bundles, start_pc: int, end_pc: int, slot_fus,
-                 cdrf, cprf, fault, l1_geom: Optional[Tuple[int, int]] = None,
-                 icache_geom: Optional[Tuple[int, int, int]] = None,
-                 n_lanes: Optional[int] = None) -> None:
+                 cdrf, cprf, fault, l1_geom: Tuple[int, int],
+                 icache_geom: Tuple[int, int, int], n_lanes: int) -> None:
         self.bundles = bundles
         self.start_pc = start_pc
         self.end_pc = end_pc
@@ -1523,10 +1534,9 @@ class _VliwGen:
         self.ports = (cdrf.read_ports, cdrf.write_ports,
                       cprf.read_ports, cprf.write_ports)
         self.fault = fault
-        self.l1_geom = l1_geom  # (n_banks, size_bytes); batch mode only
+        self.l1_geom = l1_geom  # (n_banks, size_bytes)
         self.icache_geom = icache_geom  # (n_lines, bundles_per_line, miss_penalty)
         self.n_lanes = n_lanes
-        self.batch = n_lanes is not None
         self.pool, self.pool_index = _vliw_pool_map(bundles, start_pc, end_pc)
         self.wb_counter = 0
         groups = [group_of(inst.opcode)
@@ -1584,7 +1594,7 @@ class _VliwGen:
     # -- per-instruction issue emission --------------------------------
 
     def _emit_inst(self, lines: List[str], ind: str, pc: int, slot: int,
-                   inst, wb: Optional[dict], last_bundle: bool) -> None:
+                   inst, wb: Optional[dict]) -> None:
         group = group_of(inst.opcode)
         weight = op_weight(inst.opcode)
         fu = self.slot_fus[slot] if slot < len(self.slot_fus) else slot
@@ -1643,10 +1653,7 @@ class _VliwGen:
                     body + "addr = (((%s) & 4294967295) + ((%s) & 4294967295)) & 4294967295"
                     % (base, offx)
                 )
-            if self.batch:
-                _emit_inline_read(lines, body, "cycle", info.size, *self.l1_geom)
-            else:
-                lines.append(body + "raw, extra = timed_read(cycle, addr, %d)" % info.size)
+            _emit_inline_read(lines, body, "cycle", info.size, *self.l1_geom)
             if wb is None:
                 return
             target = wb["var"]
@@ -1671,15 +1678,10 @@ class _VliwGen:
             )
             sv = self._read(lines, body, pc, slot, 2, inst.srcs[2])
             mask = (1 << (info.size * 8)) - 1
-            if self.batch:
-                # The write's conflict delay is ignored in VLIW mode
-                # (same as the per-packet call discarding the return).
-                lines.append(body + "v_st = (%s) & %d" % (sv, mask))
-                _emit_inline_write(lines, body, "cycle", info.size, *self.l1_geom)
-            else:
-                lines.append(
-                    body + "timed_write(cycle, addr, (%s) & %d, %d)" % (sv, mask, info.size)
-                )
+            # The write's conflict delay is ignored in VLIW mode (the
+            # reference engine discards ``timed_write``'s return too).
+            lines.append(body + "v_st = (%s) & %d" % (sv, mask))
+            _emit_inline_write(lines, body, "cycle", info.size, *self.l1_geom)
         elif group is OpGroup.BRANCH:
             latency = latency_of(inst.opcode)
             lines.append(body + "taken = True")
@@ -1721,27 +1723,17 @@ class _VliwGen:
     # -- whole-function assembly ---------------------------------------
 
     def generate(self) -> str:
-        lines: List[str] = []
-        lines.append(
-            "def _vliw_run(start_cycle, max_cycle, imms, CD, CP, reg_ready, pred_ready,"
-            " icache_fetch, timed_read, timed_write, stats, tracer):"
-        )
-        self._emit_lane(lines, "    ")
-        lines.append("    return stop, next_pc, cycle")
-        return "\n".join(lines) + "\n"
-
-    def generate_batch(self) -> str:
-        """Lane-batched variant of :meth:`generate`: structure-of-arrays
-        arguments, the scratchpad *and* the instruction cache inlined
-        (per-lane tag lists with compile-time line index/tag constants),
-        tracer hooks dropped — the batch driver requires tracing
-        disabled.  Per-lane results land in ``stops``/``next_pcs``/
-        ``cycles_out``; a faulting lane lands its exception in
-        ``faults[lane]`` (partial state unusable, re-run per-packet)
-        while the remaining lanes complete."""
+        """One function advancing ``n_lanes`` packets through the segment
+        back to back: structure-of-arrays arguments, the scratchpad
+        *and* the instruction cache inlined (per-lane tag lists with
+        compile-time line index/tag constants), no tracer hooks.
+        Per-lane results land in ``stops``/``next_pcs``/``cycles_out``;
+        a faulting lane lands its exception in ``faults[lane]`` (partial
+        state unusable, re-run from scratch) while the remaining lanes
+        complete."""
         lines: List[str] = []
         w = lines.append
-        w("def _vliw_run_batch(start_cycles, max_cycle, imms_s, CD_s, CP_s,"
+        w("def _vliw_run(start_cycles, max_cycle, imms_s, CD_s, CP_s,"
           " reg_ready_s, pred_ready_s, icache_s, mem_s, stats_s,"
           " stops, next_pcs, cycles_out, faults):")
         if self.has_load:
@@ -1770,17 +1762,9 @@ class _VliwGen:
         return "\n".join(lines) + "\n"
 
     def _emit_fetch(self, lines: List[str], bind: str, pc: int) -> None:
-        """Instruction fetch: a bound-method call per-packet, the cache
-        probe inlined with compile-time index/tag constants in batch
-        mode (``pc`` is a literal, so both are)."""
+        """Instruction fetch: the cache probe inlined with compile-time
+        index/tag constants (``pc`` is a literal, so both are)."""
         w = lines.append
-        if not self.batch:
-            w(bind + "miss = icache_fetch(%d, cycle)" % pc)
-            w(bind + "if miss:")
-            w(bind + "    add_stall(_IC, miss)")
-            w(bind + "    vliw_cycles += miss")
-            w(bind + "    cycle += miss")
-            return
         n_lines_, bundles_per_line, penalty = self.icache_geom
         line_addr = pc // bundles_per_line
         index = line_addr % n_lines_
@@ -1830,10 +1814,9 @@ class _VliwGen:
         w(ind + "vliw_ops = 0")
         w(ind + "squashed = 0")
         w(ind + "n_cdrf_r = n_cdrf_w = n_cprf_r = n_cprf_w = 0")
-        if self.batch:
-            if self.has_mem:
-                w(ind + "n_l1r = n_l1w = n_bc = bc_stall = 0")
-            w(ind + "n_ic_h = n_ic_m = 0")
+        if self.has_mem:
+            w(ind + "n_l1r = n_l1w = n_bc = bc_stall = 0")
+        w(ind + "n_ic_h = n_ic_m = 0")
         w(ind + "stop = None")
         w(ind + "next_pc = %d" % self.end_pc)
         last_pc = self.end_pc - 1
@@ -1887,10 +1870,6 @@ class _VliwGen:
                 w(bind + "    wait = need - cycle")
                 w(bind + "    add_stall(_IL, wait)")
                 w(bind + "    vliw_cycles += wait")
-                if not self.batch:
-                    w(bind + "    if tracer.enabled:")
-                    w(bind + "        tracer.instant('stall.interlock', cycle, cat='stall',"
-                      " args={'pc': %d, 'cycles': wait})" % pc)
                 w(bind + "    cycle = need")
             # Issue: pre-clear predicated writeback slots, then the
             # instructions in slot order; two-phase write-back follows.
@@ -1915,7 +1894,7 @@ class _VliwGen:
                     wbs.append(wb)
                     if wb["guarded"]:
                         w(bind + "%s = _A" % wb["var"])
-                self._emit_inst(lines, bind, pc, slot, inst, wb, pc == last_pc)
+                self._emit_inst(lines, bind, pc, slot, inst, wb)
             for wb in wbs:
                 sub = bind
                 if wb["guarded"]:
@@ -1939,10 +1918,6 @@ class _VliwGen:
             w(bind + "    dead = bl - 1")
             w(bind + "    add_stall(_BR, dead)")
             w(bind + "    vliw_cycles += dead")
-            if not self.batch:
-                w(bind + "    if tracer.enabled:")
-                w(bind + "        tracer.instant('stall.branch', cycle, cat='stall',"
-                  " args={'pc': %d, 'target': tgt, 'cycles': dead})" % last_pc)
             w(bind + "    cycle += dead")
             w(bind + "    next_pc = tgt")
         w(ind + "finally:")
@@ -1961,62 +1936,29 @@ class _VliwGen:
         w(ind + "    stats.cdrf_writes += n_cdrf_w")
         w(ind + "    stats.cprf_reads += n_cprf_r")
         w(ind + "    stats.cprf_writes += n_cprf_w")
-        if self.batch:
-            if self.has_mem:
-                w(ind + "    stats.l1_reads += n_l1r")
-                w(ind + "    stats.l1_writes += n_l1w")
-                w(ind + "    stats.l1_bank_conflicts += n_bc")
-                w(ind + "    stats.l1_conflict_stall_cycles += bc_stall")
-            w(ind + "    stats.icache_hits += n_ic_h")
-            w(ind + "    stats.icache_misses += n_ic_m")
+        if self.has_mem:
+            w(ind + "    stats.l1_reads += n_l1r")
+            w(ind + "    stats.l1_writes += n_l1w")
+            w(ind + "    stats.l1_bank_conflicts += n_bc")
+            w(ind + "    stats.l1_conflict_stall_cycles += bc_stall")
+        w(ind + "    stats.icache_hits += n_ic_h")
+        w(ind + "    stats.icache_misses += n_ic_m")
 
 
-def vliw_runner(bundles, start_pc: int, slot_fus, cdrf, cprf, fault):
-    """Return ``(fn, imms)`` for the straight-line segment at *start_pc*.
-
-    Raises :class:`CodegenUnsupported` when the static port-pressure
-    proof fails (the engine pins a fallback-to-reference marker), and
-    *fault* for malformed bundles.
-    """
+def _vliw_function(bundles, start_pc: int, slot_fus, cdrf, cprf,
+                   scratchpad, icache, fault, n_lanes: int):
+    """``(fn, end_pc)``: the generated ``n_lanes``-wide function of the
+    segment at *start_pc* (shared by both public factories, so wrapping
+    one never nests the other)."""
     from repro.sim.vliw import StopEvent  # lazy: vliw.py imports this module
 
     end_pc = vliw_segment_end(bundles, start_pc)
-    key = (
-        "vliw",
-        tuple(slot_fus),
-        (cdrf.width, cdrf.read_ports, cdrf.write_ports),
-        (cprf.read_ports, cprf.write_ports),
-        vliw_signature(bundles, start_pc, end_pc),
-    )
-
-    def gen() -> str:
-        return _VliwGen(bundles, start_pc, end_pc, slot_fus, cdrf, cprf, fault).generate()
-
-    source = _cached_source(key, "vliw", "pc%d" % start_pc, gen)
-    fn = _compiled_fn(key, source, "_vliw_run", {"_VF": fault, "_Stop": StopEvent})
-    return fn, tuple(_vliw_pool_map(bundles, start_pc, end_pc)[0])
-
-
-def vliw_batch_runner(bundles, start_pc: int, slot_fus, cdrf, cprf,
-                      scratchpad, icache, fault, n_lanes: int):
-    """Return ``(fn, end_pc)`` — the lane-batched function for the
-    straight-line segment at *start_pc* and the segment's exclusive end.
-
-    The batch width, the L1 geometry and the icache geometry all join
-    the cache key because the memory and instruction-cache models are
-    inlined into the generated source (the per-packet variant reaches
-    them through bound methods, so its key can omit them).  Per-lane
-    immediate pools come from the caller via ``_vliw_pool_map`` over
-    each lane's (possibly ``patch_constants``-patched) bundles.
-    """
-    from repro.sim.vliw import StopEvent  # lazy: vliw.py imports this module
-
-    end_pc = vliw_segment_end(bundles, start_pc)
+    n_lanes = int(n_lanes)
     l1_geom = (scratchpad.n_banks, scratchpad.size_bytes)
     icache_geom = (icache.n_lines, icache.bundles_per_line, icache.miss_penalty)
     key = (
-        "vliw-batch",
-        int(n_lanes),
+        "vliw",
+        n_lanes,
         tuple(slot_fus),
         (cdrf.width, cdrf.read_ports, cdrf.write_ports),
         (cprf.read_ports, cprf.write_ports),
@@ -2027,14 +1969,44 @@ def vliw_batch_runner(bundles, start_pc: int, slot_fus, cdrf, cprf,
 
     def gen() -> str:
         return _VliwGen(bundles, start_pc, end_pc, slot_fus, cdrf, cprf, fault,
-                        l1_geom=l1_geom, icache_geom=icache_geom,
-                        n_lanes=int(n_lanes)).generate_batch()
+                        l1_geom, icache_geom, n_lanes).generate()
 
-    source = _cached_source(key, "vliw-batch", "pc%d" % start_pc, gen)
-    fn = _compiled_fn(key, source, "_vliw_run_batch",
+    source = _cached_source(key, "vliw", "pc%d" % start_pc, gen)
+    fn = _compiled_fn(key, source, "_vliw_run",
                       {"_VF": fault, "_Stop": StopEvent, "_ME": MemoryError_,
-                       "_BF": (fault, MemoryError_)})
+                       "_BF": (fault, MemoryError_)},
+                      "vliw pc%d w%d" % (start_pc, n_lanes))
     return fn, end_pc
+
+
+def vliw_runner(bundles, start_pc: int, slot_fus, cdrf, cprf, scratchpad,
+                icache, fault):
+    """Return ``(fn, imms)`` for the straight-line segment at *start_pc*.
+
+    ``fn`` is the width-1 generated function (see
+    :func:`vliw_batch_runner`); ``imms`` is the segment's immediate
+    pool.  Raises :class:`CodegenUnsupported` when the static
+    port-pressure proof fails (the engine pins a fallback-to-reference
+    marker), and *fault* for malformed bundles.
+    """
+    fn, end_pc = _vliw_function(bundles, start_pc, slot_fus, cdrf, cprf,
+                                scratchpad, icache, fault, 1)
+    return fn, vliw_imms(bundles, start_pc, end_pc)
+
+
+def vliw_batch_runner(bundles, start_pc: int, slot_fus, cdrf, cprf,
+                      scratchpad, icache, fault, n_lanes: int):
+    """Return ``(fn, end_pc)`` — the ``n_lanes``-wide function for the
+    straight-line segment at *start_pc* and the segment's exclusive end.
+
+    The width, the L1 geometry and the icache geometry all join the
+    cache key because the memory and instruction-cache models are
+    inlined into the generated source.  Per-lane immediate pools come
+    from the caller via :func:`vliw_imms` over each lane's (possibly
+    ``patch_constants``-patched) bundles.
+    """
+    return _vliw_function(bundles, start_pc, slot_fus, cdrf, cprf,
+                          scratchpad, icache, fault, n_lanes)
 
 
 def vliw_imms(bundles, start_pc: int, end_pc: int) -> Tuple[int, ...]:

@@ -98,9 +98,11 @@ class Core:
             local_rfs=self.local_rfs,
             scratchpad=self.scratchpad,
             stats=self.stats,
-            tracer=self.tracer,
         )
-        use_compiled = interpreter == "compiled"
+        # Generated code has no tracer hooks, so a traced core runs the
+        # reference engines: the choice is made here, before anything
+        # is compiled.
+        use_compiled = interpreter == "compiled" and not self.tracer.enabled
         self.vliw.use_compiled = use_compiled
         self.cga.use_compiled = use_compiled
         self.cycle = 0
@@ -114,7 +116,7 @@ class Core:
     def rebind_program(self, program: Program) -> None:
         """Point the core at *program* without rebuilding the machine.
 
-        Used by the batched runtime to re-drive resident cores with
+        Used by the modem runtime to re-drive resident cores with
         ``patch_constants`` variants of a linked program.  The VLIW
         engine's per-pc compile cache holds immediate pools read from the
         bundle objects, so it is dropped whenever the program object

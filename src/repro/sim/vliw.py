@@ -136,7 +136,9 @@ class VliwEngine:
 
         Each segment (straight-line bundles through the first branch or
         control instruction) is compiled once via
-        :func:`repro.sim.codegen.vliw_runner` and cached per start PC; a
+        :func:`repro.sim.codegen.vliw_runner` and cached per start PC,
+        then called at width 1 with one-element structure-of-arrays
+        arguments (see :func:`repro.sim.codegen.vliw_batch_runner`); a
         refused segment is pinned to the reference interpreter, which
         then runs to the next stop event.  Bit-identical to
         :meth:`run_reference`.
@@ -148,6 +150,8 @@ class VliwEngine:
             cache = self._compiled = [None] * n_bundles
         pc = start_pc
         cycle = start_cycle
+        # Width-1 result slots, reused: each call fills them or faults.
+        stops, next_pcs, cycles_out, faults = [None], [0], [0], [None]
         while 0 <= pc < n_bundles:
             entry = cache[pc]
             if entry is False:
@@ -155,29 +159,24 @@ class VliwEngine:
             if entry is None:
                 try:
                     entry = codegen.vliw_runner(
-                        bundles, pc, self.slot_fus, self.cdrf, self.cprf, VliwFault
+                        bundles, pc, self.slot_fus, self.cdrf, self.cprf,
+                        self.scratchpad, self.icache, VliwFault,
                     )
                 except codegen.CodegenUnsupported:
                     cache[pc] = False
                     return self.run_reference(pc, cycle, max_cycle)
                 cache[pc] = entry
             fn, imms = entry
-            stop, pc, cycle = fn(
-                cycle,
-                max_cycle,
-                imms,
-                self.cdrf._regs,
-                self.cprf._regs,
-                self._reg_ready,
-                self._pred_ready,
-                self.icache.fetch,
-                self.scratchpad.timed_read,
-                self.scratchpad.timed_write,
-                self.stats,
-                self.tracer,
-            )
-            if stop is not None:
-                return stop, cycle
+            fn([cycle], max_cycle, [imms], [self.cdrf._regs], [self.cprf._regs],
+               [self._reg_ready], [self._pred_ready], [self.icache],
+               [self.scratchpad], [self.stats], stops, next_pcs, cycles_out,
+               faults)
+            if faults[0] is not None:
+                raise faults[0]
+            pc = next_pcs[0]
+            cycle = cycles_out[0]
+            if stops[0] is not None:
+                return stops[0], cycle
         return StopEvent("end", next_pc=pc), cycle
 
     # ------------------------------------------------------------------

@@ -154,6 +154,19 @@ def test_runner_without_batch_support_still_serves_batched_dispatches():
     assert report["counters"]["completed"] == 8
 
 
+def test_unbatched_fabric_reports_no_batch_fields():
+    # The runner can batch, but a batch=1 fabric never coalesces, so the
+    # batching fields stay None as the report schema documents.
+    fab = Fabric(workers=1, batch=1, queue_depth=16, runner_factory=_batched_factory)
+    with fab:
+        ids = [fab.submit(rx) for rx in _packets(2)]
+        results = fab.drain(timeout=30)
+    assert sorted(results) == sorted(ids)
+    worker = fab.report()["per_worker"][0]
+    for key in ("spinup_batched", "batches", "batched_tasks", "batch_occupancy"):
+        assert worker[key] is None, key
+
+
 def test_mixed_shapes_never_share_a_dispatch():
     fab = Fabric(
         workers=1, batch=4, queue_depth=16, runner_factory=_batched_factory

@@ -76,20 +76,28 @@ def test_batch_8_packets_at_least_5x_faster_than_cold_runs(cases, cold_compile_c
 
 
 def test_batched_runtime_ragged_chunk_is_not_a_fallback(cases):
-    """A trailing singleton chunk (N % B != 0) runs per-packet by
-    design; it must stay bit-identical to the per-packet compiled tier
-    and must NOT count toward the divergence ``fallbacks`` counter."""
+    """Chunks of 2 and a trailing 1 (N % B != 0) both run on the
+    resident cores: every packet is bit-identical to the reference
+    tier (the runtime's own ``interpreter="reference"`` path, which
+    runs every region on a fresh reference core), and neither chunk
+    counts toward ``fallbacks``."""
+    subset = [case.rx for case in cases[:3]]
+    runtime = ModemRuntime(batch=2)  # chunks of 2 + 1
+    outputs = runtime.run_batch(subset)
+    reference = ModemRuntime(interpreter="reference")
+    for out, rx in zip(outputs, subset):
+        _assert_outputs_identical(out, reference.run_packet(rx))
+    assert runtime.packets_run == 3
+    assert runtime.fallbacks == 0, "a ragged chunk is not a fallback"
+    assert reference.packets_run == 3 and reference.fallbacks == 0
+
+
+def test_batched_name_is_the_one_runtime():
     from repro.runtime import BatchedModemRuntime
 
-    subset = [case.rx for case in cases[:3]]
-    serial = ModemRuntime()
-    expected = [serial.run_packet(rx) for rx in subset]
-    batched = BatchedModemRuntime(batch=2)  # chunks of 2 + 1
-    outputs = batched.run_batch(subset)
-    for out, ref in zip(outputs, expected):
-        _assert_outputs_identical(out, ref)
-    assert batched.packets_run == 3
-    assert batched.fallbacks == 0, "ragged singleton chunk is not a fallback"
+    assert BatchedModemRuntime is ModemRuntime
+    with pytest.raises(ValueError, match="'compiled' or 'reference'"):
+        ModemRuntime(interpreter="decoded")
 
 
 def test_runtime_tracks_warmed_shapes(cases):

@@ -6,11 +6,13 @@ source cache (`src/repro/sim/codegen.py`), plus the regression test for the
 """
 
 import glob
+import linecache
 import os
 import pickle
 import subprocess
 import sys
 import textwrap
+import traceback
 
 import pytest
 
@@ -18,10 +20,11 @@ import repro
 from repro.arch import paper_core, small_test_core
 from repro.compiler import KernelBuilder
 from repro.compiler.linker import ProgramLinker, configure_schedule_cache
-from repro.isa import Imm, Instruction, Opcode
+from repro.isa import Imm, Instruction, Opcode, Reg
 from repro.sim import CgaContext, CgaKernel, CgaOp, Core, DstSel, Program, SrcSel, VliwBundle
 from repro.sim import codegen
 from repro.sim.cga import KERNEL_CACHE_BOUND
+from repro.sim.memory import MemoryError_
 from repro.sim.program import DstKind, patch_constants
 
 _SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -98,6 +101,56 @@ def test_recycled_kernel_id_is_not_a_stale_hit():
         seen.append(core.cdrf.peek(10))
         del variant  # allow id() reuse for the next variant
     assert seen == [20, 36]
+
+
+# ----------------------------------------------------------------------
+# Generated code that profilers and tracebacks can see
+# ----------------------------------------------------------------------
+
+
+def _kernel_fn(name, opcode):
+    op = CgaOp(
+        opcode=opcode,
+        srcs=(SrcSel.self_().with_init(0), SrcSel.imm(3)),
+        dsts=(DstSel(DstKind.CDRF, 10, last_iteration_only=True),),
+    )
+    kernel = CgaKernel(name=name, ii=1, stage_count=1,
+                       contexts=[CgaContext(ops={0: op})], trip_count=4)
+    program = Program(bundles=_template_program().bundles, kernels={0: kernel})
+    core = Core(paper_core(), program)
+    core.run()
+    ((_kernel, fn, _imms),) = core.cga._compiled.values()
+    return fn
+
+
+def test_generated_functions_have_their_own_file_names():
+    """Each generated function compiles under its own file name (kind,
+    label, width and, above width 1, trip) with its source in
+    ``linecache``, so cProfile rows and tracebacks can tell generated
+    functions apart."""
+    add = _kernel_fn("adder", Opcode.ADD).__code__
+    sub = _kernel_fn("subber", Opcode.SUB).__code__
+    assert add.co_filename != sub.co_filename
+    assert add.co_filename.startswith("codegen:cga adder w1 ")
+    assert sub.co_filename.startswith("codegen:cga subber w1 ")
+    first = linecache.getline(add.co_filename, add.co_firstlineno)
+    assert first.startswith("def _cga_run(")
+
+
+def test_traceback_out_of_generated_code_shows_the_source_line():
+    """A scratchpad-bounds fault raised inside the width-1 VLIW function
+    formats with the generated frame and its source line."""
+    bundles = [
+        VliwBundle((Instruction(Opcode.LD_I, srcs=(Reg(1), Imm(0)), dst=Reg(2)), None, None)),
+        VliwBundle((Instruction(Opcode.HALT), None, None)),
+    ]
+    core = Core(paper_core(), Program(bundles=bundles))
+    core.cdrf.poke(1, 1 << 20)  # far outside the scratchpad
+    with pytest.raises(MemoryError_) as info:
+        core.run()
+    text = "".join(traceback.format_exception(info.type, info.value, info.tb))
+    assert 'File "codegen:vliw pc0 w1 ' in text
+    assert "raise _ME('scratchpad access" in text
 
 
 # ----------------------------------------------------------------------

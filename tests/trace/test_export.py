@@ -94,3 +94,31 @@ def test_prometheus_text_format():
 def test_prometheus_text_without_labels():
     text = prometheus_text(_FakeStats())
     assert "repro_sim_cga_cycles 40" in text
+
+
+def test_traced_core_runs_the_reference_engines():
+    """Generated code has no tracer hooks, so a traced core asking for
+    the compiled tier runs the reference engines instead: the FIR
+    program emits exactly the reference tier's events and nothing is
+    compiled for it."""
+    from repro.arch import paper_core
+    from repro.compiler.linker import ProgramLinker
+    from repro.sim import Core, codegen
+    from tests.conftest import _cold_compile_caches
+    from tests.trace.conftest import build_fir_dfg
+
+    arch = paper_core()
+    linker = ProgramLinker(arch, name="fir", seed=0)
+    linker.call_kernel(build_fir_dfg(), live_ins={"src": 64, "dst": 2048}, trip_count=16)
+    program = linker.link()
+    tracers = {}
+    with _cold_compile_caches():
+        for interpreter in ("compiled", "reference"):
+            tracer = tracers[interpreter] = Tracer()
+            core = Core(arch, program, tracer=tracer, interpreter=interpreter)
+            assert not core.cga.use_compiled and not core.vliw.use_compiled
+            core.load_configuration()
+            core.run()
+        assert codegen.codegen_stats()["compilations"] == 0
+    assert tracers["compiled"].events
+    assert tracers["compiled"].events == tracers["reference"].events
