@@ -18,7 +18,7 @@ The sweep structure:
   process-wide schedule and codegen caches populated, isolating pure
   simulation speed (best wall of three timed repetitions).  It goes
   through ``run_reference_modem``, so every region builds a fresh core
-  whose engines run the generated functions at width 1; per-tier
+  that runs the width-1 generated functions as a lane of one; per-tier
   numbers land in ``extra.tiers`` and the pairwise ratios in
   ``extra.speedups``;
 * a **batched** run per width B in {1, 4, 16}: a resident

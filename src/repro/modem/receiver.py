@@ -242,30 +242,41 @@ class SimReceiver:
         if patch:
             program = patch_constants(program, patch)
         core = Core(self.arch, program, tracer=tracer, interpreter=self.interpreter)
-        core.scratchpad._mem[:] = image
-        # Setup (config DMA, I$ warm-up) is excluded from the trace the
-        # same way it is excluded from the steady-state measurement; the
-        # try/finally guarantees a fault during setup cannot leave the
-        # caller's tracer permanently disabled.
+        # Setup (config DMA, image load, I$ warm-up) is excluded from the
+        # trace the same way it is excluded from the steady-state
+        # measurement; the try/finally guarantees a fault during setup
+        # cannot leave the caller's tracer permanently disabled.
         was_enabled = tracer.enabled
         tracer.enabled = False
         try:
             core.load_configuration()
-            # Warm the I$ (steady-state measurement), then reset counters.
-            for pc in range(len(program.bundles)):
-                core.icache.fetch(pc)
+            core.reset(program, image)
         finally:
             tracer.enabled = was_enabled
         before = core.stats.snapshot()
         core.run()
-        delta = core.stats.delta_since(before).validate()
+        run, final_image = self._region_result(name, core, handles, before)
         if tracer.enabled:
-            tracer.complete(name, 0, delta.total_cycles, cat="region")
-            tracer.advance_base(delta.total_cycles)
-        outputs = {}
-        for out_name, handle in handles.items():
-            if isinstance(handle, PhysReg):
-                outputs[out_name] = core.cdrf.peek(handle.index)
+            tracer.complete(name, 0, run.profile.cycles, cat="region")
+            tracer.advance_base(run.profile.cycles)
+        return run, final_image
+
+    @staticmethod
+    def _region_result(
+        name: str,
+        core: Core,
+        handles: Dict[str, object],
+        before: ActivityStats,
+    ) -> Tuple[RegionRun, bytearray]:
+        """A finished region as its driver answers the pipeline: the
+        profile of the validated statistics since *before*, the
+        host-visible register outputs and a copy of the final image."""
+        delta = core.stats.delta_since(before).validate()
+        outputs = {
+            out_name: core.cdrf.peek(handle.index)
+            for out_name, handle in handles.items()
+            if isinstance(handle, PhysReg)
+        }
         run = RegionRun(name, KernelProfile(name, delta), outputs)
         return run, bytearray(core.scratchpad._mem)
 

@@ -29,7 +29,7 @@ What makes this safe:
 
 The speed comes from three resident structures, all per region id: the
 lane cores (no ``Core`` construction, configuration DMA or allocator
-traffic per packet — they are reset in place), the
+traffic per packet — :meth:`Core.reset` resets them in place), the
 :class:`BatchProgramRunner` (cached generated functions plus per-lane
 signature/immediate pools), and the linked region programs already
 cached by :class:`SimReceiver`.
@@ -46,7 +46,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.arch import CgaArchitecture
-from repro.compiler.builder import PhysReg
 from repro.compiler.linker import configure_schedule_cache
 from repro.modem.memory_map import DEFAULT_MAP, MemoryMap
 from repro.modem.receiver import (
@@ -58,8 +57,8 @@ from repro.modem.receiver import (
 from repro.phy.params import PARAMS_20MHZ_2X2, OfdmParams
 from repro.sim import Core
 from repro.sim.batch import BatchProgramRunner
-from repro.sim.program import Program, patch_constants
-from repro.sim.stats import ActivityStats, KernelProfile
+from repro.sim.program import patch_constants
+from repro.sim.stats import ActivityStats
 
 
 @dataclass
@@ -313,7 +312,7 @@ class ModemRuntime:
             lane_program = program
             if lane.request.patch:
                 lane_program = patch_constants(program, lane.request.patch)
-            self._reset_core(core, lane_program, lane.request.image)
+            core.reset(lane_program, lane.request.image)
         before = [core.stats.snapshot() for core in cores]
         lane_results = region.runner.run(cores)
         responses: List[Optional[Tuple[RegionRun, bytearray]]] = []
@@ -325,49 +324,8 @@ class ModemRuntime:
                 results[lane.index].fell_back = True
                 responses.append(self._replay_region(lane, results))
                 continue
-            delta = core.stats.delta_since(snap).validate()
-            outputs = {}
-            for out_name, handle in handles.items():
-                if isinstance(handle, PhysReg):
-                    outputs[out_name] = core.cdrf.peek(handle.index)
-            run = RegionRun(req0.name, KernelProfile(req0.name, delta), outputs)
-            responses.append((run, bytearray(core.scratchpad._mem)))
+            responses.append(receiver._region_result(req0.name, core, handles, snap))
         return responses
-
-    @staticmethod
-    def _reset_core(core: Core, program: Program, image: bytearray) -> None:
-        """Reset a resident core to the exact state a fresh ``Core`` has
-        after the per-packet setup (image blit, I$ warm-up) — skipping
-        ``load_configuration``, whose accounting the region snapshot
-        excludes anyway."""
-        core.rebind_program(program)
-        core.scratchpad._mem[:] = image
-        bank_free = core.scratchpad._bank_next_free
-        for bank in range(len(bank_free)):
-            bank_free[bank] = 0
-        regs = core.cdrf._regs
-        regs[:] = [0] * len(regs)
-        regs = core.cprf._regs
-        regs[:] = [0] * len(regs)
-        for lrf in core.local_rfs.values():
-            regs = lrf._regs
-            regs[:] = [0] * len(regs)
-        latch = core.cga._out_latch
-        for i in range(len(latch)):
-            latch[i] = 0
-        core.vliw._reg_ready.clear()
-        core.vliw._pred_ready.clear()
-        tags = core.icache._tags
-        tags[:] = [None] * len(tags)
-        core.cycle = 0
-        core.pc = 0
-        core.halted = False
-        core.kernel_log.clear()
-        # Warm the I$ exactly as the per-packet path does (ascending pc
-        # order determines the direct-mapped tag state).
-        fetch = core.icache.fetch
-        for pc in range(len(program.bundles)):
-            fetch(pc)
 
 
 #: The serving name of the same class (``BatchedModemRuntime is ModemRuntime``).

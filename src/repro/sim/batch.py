@@ -1,39 +1,45 @@
-"""Cross-packet lockstep batch driver for the compiled tier.
+"""The compiled tier's one driver: cores advanced in lockstep on generated code.
 
 :class:`BatchProgramRunner` advances one or more structurally-identical
 :class:`~repro.sim.core.Core` instances ("lanes") to completion in
-lockstep, replicating :meth:`Core.run` bit-exactly while replacing the
-hot inner execution with the lane-batched functions emitted by
-:mod:`repro.sim.codegen` (:func:`~repro.sim.codegen.cga_batch_runner` /
+lockstep, replicating the reference loop of :meth:`Core.run` bit-exactly
+with the lane-batched functions emitted by :mod:`repro.sim.codegen`
+(:func:`~repro.sim.codegen.cga_batch_runner` /
 :func:`~repro.sim.codegen.vliw_batch_runner`): one Python frame advances
 every lane through a VLIW segment or a whole CGA steady-state window,
-amortizing interpreter overhead across the batch.  A single lane is a
-batch of width 1 and takes the same generated functions.
+amortizing interpreter overhead across the batch.  It is the only driver
+of generated code: an untraced compiled :meth:`Core.run` runs its core
+as a lane of one on a fresh runner, and
+:class:`repro.runtime.ModemRuntime` keeps one resident runner per
+receiver region.
 
 Lanes are expected to run ``patch_constants`` variants of one linked
 program — immediate *values* may differ per lane (delivered as per-lane
 imm pools), structure may not.  The driver does not trust that contract
 blindly: every dispatch groups lanes by structural signature (and, for
-kernels, by resolved trip count), so lanes that diverge — different
-``pc``, different structure, different trips — simply drop out of the
-batch and are stepped one by one through the cores' own engines, which
-are bit-identical by the compiled tier's contract.
+kernels, by resolved trip count).  One group of several lanes runs one
+batched call; otherwise — lanes that diverge in ``pc``, structure or
+trip, or a lane of one — each lane runs alone to its next stop event on
+the width-1 function of the same emitter.  Only a segment or kernel that
+codegen refuses (:class:`~repro.sim.codegen.CodegenUnsupported`) steps
+through the engines' reference interpreters.
 
-Faults are per-lane: a lane whose generated code raises (scratchpad
-bounds, VLIW runaway) is recorded in its :class:`LaneResult` and — when
-a ``fresh`` factory is provided — re-run per-packet from scratch, which
-reproduces the per-packet result or exception bit-identically (the
-batched fault leaves deferred counters unflushed, so the partial lane
-state is never reused).
+Faults are per-lane: a lane whose code raises (scratchpad bounds, VLIW
+runaway, a malformed kernel) keeps the exception in its
+:class:`LaneResult`, mapped exactly as the reference loop of
+:meth:`Core.run` maps it, while its siblings run on.  The faulted lane's
+partial state is unusable (generated code leaves deferred counters
+unflushed), so a caller that needs the per-packet outcome replays the
+lane from its pre-run state, as ``ModemRuntime`` does.
 
-Tracing must be disabled on every lane: the batched code omits tracer
-hooks entirely (that is what makes it fast), so lockstep execution under
-an enabled tracer would silently drop events.  :meth:`run` refuses it.
+Tracing must be disabled on every lane: the generated code omits tracer
+hooks entirely (that is what makes it fast), so running it under an
+enabled tracer would silently drop events.  :meth:`run` refuses it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.sim import codegen
 from repro.sim.cga import CgaFault
@@ -43,51 +49,62 @@ from repro.sim.vliw import StopEvent, VliwFault
 _UNSET = object()
 
 
+def _sim_error(exc: VliwFault) -> SimulationError:
+    """A VLIW fault as :meth:`Core.run` reports it."""
+    err = SimulationError(str(exc))
+    err.__cause__ = exc
+    return err
+
+
 class LaneResult:
-    """Outcome of one lane: the core holding final state, the error (if
-    the lane faulted), and whether the per-packet fallback ran it."""
+    """Outcome of one lane: the core holding final state and the error,
+    if the lane faulted."""
 
-    __slots__ = ("core", "error", "fell_back")
+    __slots__ = ("core", "error")
 
-    def __init__(self, core: Optional[Core], error: Optional[BaseException] = None,
-                 fell_back: bool = False) -> None:
+    def __init__(self, core: Core, error: Optional[BaseException] = None) -> None:
         self.core = core
         self.error = error
-        self.fell_back = fell_back
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
 
 
 class BatchProgramRunner:
-    """Resident lockstep driver over a fixed set of lane slots.
+    """Lockstep driver over a fixed set of lane slots.
 
-    One runner instance is meant to live as long as its lane set (e.g.
-    the resident cores of one receiver region at one batch width): the
-    per-lane signature/imm-pool caches are keyed by lane index and
-    invalidated by program-object identity, so re-dispatching the same
-    (or a freshly patched) program costs no signature walks after the
-    first packet — the 27% of warm per-packet time the profile blamed on
-    pool/signature recomputation.
+    A resident runner is meant to live as long as its lane set (e.g.
+    the resident cores of one receiver region): the per-lane
+    signature/imm-pool caches are keyed by lane index and invalidated by
+    program-object identity, so re-dispatching the same (or a freshly
+    patched) program costs no signature walks after the first packet.
+    The generated functions are cached per signature and width, so a
+    long-lived runner fed any number of ``patch_constants`` variants
+    stays bounded by the number of distinct structures.
     """
 
     def __init__(self, max_cycles: int = 10_000_000) -> None:
         self.max_cycles = max_cycles
-        #: (signature id, n) -> batch fn | None (codegen refused).
+        #: (signature id, n) -> fn | None (codegen refused).
         self._vliw_fns: Dict[tuple, object] = {}
-        #: (signature id, trip, n) -> trip-specialized batch fn | None.
+        #: (signature id, trip or None at width 1, n) -> fn | None.
         self._cga_fns: Dict[tuple, object] = {}
         #: (pc, lane) -> (bundles, signature id, imms, end_pc).
         self._vliw_lane: Dict[tuple, tuple] = {}
         #: (kernel_id_slot, lane) -> (kernel, signature id, imms).
         self._cga_lane: Dict[tuple, tuple] = {}
-        #: signature tuple -> small interned id.  Group keys and batch-fn
-        #: cache keys carry the id, so the (large) signature tuple is
-        #: hashed once per memo fill, not once per lane per round.
+        #: signature tuple -> small interned id.  Group keys and fn-cache
+        #: keys carry the id, so the (large) signature tuple is hashed
+        #: once per memo fill, not once per lane per round.
         self._sig_ids: Dict[tuple, int] = {}
+        #: signature id -> signature, handed to codegen on a fn-cache
+        #: miss so it need not walk the segment or kernel again.
+        self._sigs: List[tuple] = []
 
     # -- per-lane memoization (identity-guarded: strong refs pin ids) ---
+
+    def _sid(self, sig: tuple) -> int:
+        sid = self._sig_ids.setdefault(sig, len(self._sigs))
+        if sid == len(self._sigs):
+            self._sigs.append(sig)
+        return sid
 
     def _lane_vliw(self, lane: int, core: Core, pc: int) -> tuple:
         key = (pc, lane)
@@ -96,10 +113,8 @@ class BatchProgramRunner:
         if ent is not None and ent[0] is bundles:
             return ent
         end_pc = codegen.vliw_segment_end(bundles, pc)
-        sig = codegen.vliw_signature(bundles, pc, end_pc)
-        imms = codegen.vliw_imms(bundles, pc, end_pc)
-        sid = self._sig_ids.setdefault(sig, len(self._sig_ids))
-        ent = (bundles, sid, imms, end_pc)
+        sid = self._sid(codegen.vliw_signature(bundles, pc, end_pc))
+        ent = (bundles, sid, codegen.vliw_imms(bundles, pc, end_pc), end_pc)
         self._vliw_lane[key] = ent
         return ent
 
@@ -108,13 +123,12 @@ class BatchProgramRunner:
         ent = self._cga_lane.get(key)
         if ent is not None and ent[0] is kernel:
             return ent
-        sig = codegen.cga_signature(kernel)
-        sid = self._sig_ids.setdefault(sig, len(self._sig_ids))
-        ent = (kernel, sid, codegen.cga_imms(kernel))
+        ent = (kernel, self._sid(codegen.cga_signature(kernel)),
+               codegen.cga_imms(kernel))
         self._cga_lane[key] = ent
         return ent
 
-    # -- batch-function lookup ------------------------------------------
+    # -- generated-function lookup --------------------------------------
 
     def _vliw_fn(self, core0: Core, pc: int, sid: int, n: int):
         key = (sid, n)
@@ -124,7 +138,7 @@ class BatchProgramRunner:
                 fn, _end = codegen.vliw_batch_runner(
                     core0.program.bundles, pc, core0.vliw.slot_fus,
                     core0.cdrf, core0.cprf, core0.scratchpad, core0.icache,
-                    VliwFault, n,
+                    VliwFault, n_lanes=n, signature=self._sigs[sid],
                 )
             except codegen.CodegenUnsupported:
                 fn = None
@@ -132,7 +146,8 @@ class BatchProgramRunner:
         return fn
 
     def _cga_fn(self, core0: Core, kernel0, sid: int, trip: int, n: int):
-        key = (sid, trip, n)
+        # Width 1 ignores the trip (see codegen.cga_runner): one entry.
+        key = (sid, trip if n > 1 else None, n)
         fn = self._cga_fns.get(key, _UNSET)
         if fn is _UNSET:
             try:
@@ -140,7 +155,7 @@ class BatchProgramRunner:
                     kernel0, core0.arch, CgaFault,
                     cdrf_ports=(core0.cdrf.read_ports, core0.cdrf.write_ports),
                     cprf_ports=(core0.cprf.read_ports, core0.cprf.write_ports),
-                    n_lanes=n, trip=trip,
+                    n_lanes=n, trip=key[1], signature=self._sigs[sid],
                 )
             except codegen.CodegenUnsupported:
                 fn = None
@@ -149,117 +164,105 @@ class BatchProgramRunner:
 
     # -- driving --------------------------------------------------------
 
-    def run(self, cores: List[Core],
-            fresh: Optional[Callable[[int], Core]] = None) -> List[LaneResult]:
-        """Drive every lane to halt (or error); returns per-lane results.
-
-        *fresh*, when given, maps a lane index to a brand-new fully
-        prepared core (pokes and memory applied, nothing run); a lane
-        that faults is then replayed per-packet on that core — the
-        canonical result or exception — and marked ``fell_back``.
-        Without *fresh* the batched-path exception is recorded directly
-        (mapped exactly as :meth:`Core.run` would map it).
-        """
+    def run(self, cores: List[Core]) -> List[LaneResult]:
+        """Drive every lane to halt (or error); returns per-lane results."""
         for core in cores:
             if core.tracer.enabled:
                 raise ValueError("batch execution requires tracing disabled")
-        n = len(cores)
         results = [LaneResult(core) for core in cores]
-
-        def fail(lane: int, exc: BaseException) -> None:
-            if fresh is None:
-                results[lane].error = exc
-                results[lane].fell_back = False
-                return
-            replay = LaneResult(None, fell_back=True)
-            results[lane] = replay
-            try:
-                core = fresh(lane)
-                replay.core = core
-                core.run(max_cycles=self.max_cycles)
-            except Exception as replay_exc:
-                replay.error = replay_exc
-
         while True:
-            act = [i for i in range(n)
-                   if results[i].error is None and not results[i].fell_back
-                   and not results[i].core.halted]
+            act = [i for i, res in enumerate(results)
+                   if res.error is None and not res.core.halted]
             if not act:
                 break
             # Core.run's loop-top runaway check, once per stop round.
             for i in list(act):
                 if results[i].core.cycle > self.max_cycles:
-                    fail(i, SimulationError(
-                        "exceeded %d cycles; runaway program?" % self.max_cycles))
+                    results[i].error = SimulationError(
+                        "exceeded %d cycles; runaway program?" % self.max_cycles)
                     act.remove(i)
             if not act:
                 continue
-            stop_ev = self._vliw_phase(act, results, fail)
-            self._stop_phase(stop_ev, results, fail)
+            stop_ev = self._vliw_phase(act, results)
+            self._stop_phase(stop_ev, results)
         return results
 
     # -- VLIW phase: run every active lane to its next stop event -------
 
-    def _vliw_phase(self, act: List[int], results: List[LaneResult],
-                    fail) -> Dict[int, StopEvent]:
+    def _vliw_phase(self, act: List[int],
+                    results: List[LaneResult]) -> Dict[int, StopEvent]:
         stop_ev: Dict[int, StopEvent] = {}
         pending = list(act)
         while pending:
-            # Fell off the instruction stream: same stop the engine makes.
-            regroup: List[int] = []
-            for i in pending:
-                core = results[i].core
-                if 0 <= core.pc < len(core.program.bundles):
-                    regroup.append(i)
-                else:
-                    stop_ev[i] = StopEvent("end", next_pc=core.pc)
             groups: Dict[tuple, List[int]] = {}
             lane_imms: Dict[int, tuple] = {}
-            for i in regroup:
+            for i in pending:
                 core = results[i].core
+                if not 0 <= core.pc < len(core.program.bundles):
+                    # Fell off the instruction stream: the engine's stop.
+                    stop_ev[i] = StopEvent("end", next_pc=core.pc)
+                    continue
                 _bundles, sid, imms, _end = self._lane_vliw(i, core, core.pc)
                 lane_imms[i] = imms
                 groups.setdefault((core.pc, sid), []).append(i)
             pending = []
-            convergent = len(groups) == 1
-            for (pc, sid), lanes in groups.items():
-                fn = None
-                if convergent:
-                    core0 = results[lanes[0]].core
+            if len(groups) == 1:
+                ((pc, sid), lanes), = groups.items()
+                if len(lanes) > 1:
                     try:
-                        fn = self._vliw_fn(core0, pc, sid, len(lanes))
+                        fn = self._vliw_fn(results[lanes[0]].core, pc, sid,
+                                           len(lanes))
                     except VliwFault as exc:
                         for i in lanes:
-                            fail(i, SimulationError(str(exc)))
+                            results[i].error = _sim_error(exc)
                         continue
-                if fn is None:
-                    self._vliw_individual(lanes, results, stop_ev, fail)
-                    continue
-                pending.extend(
-                    self._vliw_batch_step(fn, lanes, lane_imms, results,
-                                          stop_ev, fail))
+                    if fn is not None:
+                        pending = self._vliw_batch_step(
+                            fn, lanes, [lane_imms[i] for i in lanes], results,
+                            stop_ev)
+                        continue
+            for lanes in groups.values():
+                for i in lanes:
+                    self._vliw_solo(results[i], i, stop_ev)
         return stop_ev
 
-    def _vliw_individual(self, lanes, results, stop_ev, fail) -> None:
-        """Per-core stepping for divergent lanes and refused segments:
-        one full ``vliw.run`` to the next stop event."""
-        for i in lanes:
-            core = results[i].core
-            try:
-                stop, cycle = core.vliw.run(core.pc, core.cycle,
-                                            max_cycle=self.max_cycles)
-            except VliwFault as exc:
-                fail(i, SimulationError(str(exc)))
-                continue
-            except Exception as exc:
-                fail(i, exc)
-                continue
-            core.cycle = cycle
-            core.pc = stop.next_pc
-            stop_ev[i] = stop
+    def _vliw_solo(self, res: LaneResult, i: int, stop_ev) -> None:
+        """Run lane *i* alone to its next stop event on width-1
+        functions; a segment codegen refuses hands the lane to the
+        reference interpreter, which runs on to the stop."""
+        core = res.core
+        bundles = core.program.bundles
+        n_bundles = len(bundles)
+        # Width-1 result slots, reused: each call fills them or faults.
+        stops, next_pcs, cycles_out, faults = [None], [0], [0], [None]
+        try:
+            while 0 <= core.pc < n_bundles:
+                _bundles, sid, imms, _end = self._lane_vliw(i, core, core.pc)
+                fn = self._vliw_fn(core, core.pc, sid, 1)
+                if fn is None:
+                    stop, core.cycle = core.vliw.run_reference(
+                        core.pc, core.cycle, max_cycle=self.max_cycles)
+                    core.pc = stop.next_pc
+                    stop_ev[i] = stop
+                    return
+                fn([core.cycle], self.max_cycles, [imms], [core.cdrf._regs],
+                   [core.cprf._regs], [core.vliw._reg_ready],
+                   [core.vliw._pred_ready], [core.icache], [core.scratchpad],
+                   [core.stats], stops, next_pcs, cycles_out, faults)
+                if faults[0] is not None:
+                    raise faults[0]
+                core.pc = next_pcs[0]
+                core.cycle = cycles_out[0]
+                if stops[0] is not None:
+                    stop_ev[i] = stops[0]
+                    return
+            stop_ev[i] = StopEvent("end", next_pc=core.pc)
+        except VliwFault as exc:
+            res.error = _sim_error(exc)
+        except Exception as exc:
+            res.error = exc
 
-    def _vliw_batch_step(self, fn, lanes, lane_imms, results, stop_ev,
-                         fail) -> List[int]:
+    def _vliw_batch_step(self, fn, lanes, imms, results, stop_ev) -> List[int]:
         """One batched segment; returns the lanes that continue (their
         segment ended without a stop event, e.g. a fallthrough branch)."""
         mcores = [results[i].core for i in lanes]
@@ -271,7 +274,7 @@ class BatchProgramRunner:
         fn(
             [c.cycle for c in mcores],
             self.max_cycles,
-            [lane_imms[i] for i in lanes],
+            imms,
             [c.cdrf._regs for c in mcores],
             [c.cprf._regs for c in mcores],
             [c.vliw._reg_ready for c in mcores],
@@ -283,13 +286,12 @@ class BatchProgramRunner:
         )
         carry_on: List[int] = []
         for k, i in enumerate(lanes):
-            if faults[k] is not None:
-                exc = faults[k]
-                if isinstance(exc, VliwFault):
-                    exc = SimulationError(str(exc))
-                fail(i, exc)
+            exc = faults[k]
+            if exc is not None:
+                results[i].error = (_sim_error(exc) if isinstance(exc, VliwFault)
+                                    else exc)
                 continue
-            core = results[i].core
+            core = mcores[k]
             core.cycle = cycles_out[k]
             core.pc = next_pcs[k]
             if stops[k] is not None:
@@ -298,9 +300,9 @@ class BatchProgramRunner:
                 carry_on.append(i)
         return carry_on
 
-    # -- stop phase: halts and (batched) kernel execution ---------------
+    # -- stop phase: halts and kernel execution -------------------------
 
-    def _stop_phase(self, stop_ev: Dict[int, StopEvent], results, fail) -> None:
+    def _stop_phase(self, stop_ev: Dict[int, StopEvent], results) -> None:
         groups: Dict[tuple, List[int]] = {}
         ginfo: Dict[int, tuple] = {}
         for i, stop in stop_ev.items():
@@ -308,12 +310,14 @@ class BatchProgramRunner:
                 results[i].core.halted = True
                 continue
             if stop.reason != "cga":
-                fail(i, SimulationError("unknown stop reason %r" % stop.reason))
+                results[i].error = SimulationError(
+                    "unknown stop reason %r" % stop.reason)
                 continue
             core = results[i].core
             kid = stop.kernel_id
             if kid is None or kid not in core.program.kernels:
-                fail(i, SimulationError("cga references unknown kernel %r" % kid))
+                results[i].error = SimulationError(
+                    "cga references unknown kernel %r" % kid)
                 continue
             kernel = core.program.kernels[kid]
             # Mode switch in (Core._run_kernel).
@@ -322,84 +326,81 @@ class BatchProgramRunner:
             try:
                 trip = core.cga.trip_of(kernel)
             except CgaFault as exc:
-                fail(i, exc)
+                results[i].error = exc
                 continue
             if trip <= 0:
-                core.kernel_log.append({"kernel": kernel.name, "cycles": 0})
-                core.stats.cga_cycles += MODE_SWITCH_CYCLES
-                core.cycle += MODE_SWITCH_CYCLES
+                _kernel_done(core, kernel, core.cycle, core.cycle)
                 continue
             _kernel, sid, imms = self._lane_cga(i, kid, kernel)
-            ginfo[i] = (kernel, imms)
+            ginfo[i] = (kernel, sid, imms, trip)
             groups.setdefault((sid, trip), []).append(i)
-        convergent = len(groups) == 1
-        for (sid, trip), lanes in groups.items():
-            fn = None
-            if convergent:
-                core0 = results[lanes[0]].core
-                try:
-                    fn = self._cga_fn(core0, ginfo[lanes[0]][0], sid, trip,
-                                      len(lanes))
-                except CgaFault as exc:
-                    for i in lanes:
-                        fail(i, exc)
-                    continue
+        if len(groups) == 1:
+            ((sid, trip), lanes), = groups.items()
+            if len(lanes) > 1 and self._cga_batch_step(sid, trip, lanes, ginfo,
+                                                       results):
+                return
+        for i, info in ginfo.items():
+            if results[i].error is None:
+                self._cga_solo(results[i], info)
+
+    def _cga_solo(self, res: LaneResult, info: tuple) -> None:
+        """Run one lane's kernel alone on its width-1 function, or on
+        the reference interpreter when codegen refuses the kernel."""
+        core = res.core
+        kernel, sid, imms, trip = info
+        start = core.cycle
+        try:
+            fn = self._cga_fn(core, kernel, sid, trip, 1)
             if fn is None:
-                self._cga_individual(lanes, ginfo, results, fail)
-                continue
-            self._cga_batch_step(fn, trip, lanes, ginfo, results, fail)
+                end = core.cga.run_reference(kernel, start)
+            else:
+                pre = core.cga.preload(kernel)
+                ends, faults = [0], [None]
+                fn([trip], [start + pre], [pre], [imms], [core.cga._out_latch],
+                   [core.cdrf._regs], [core.cprf._regs], [core.local_rfs],
+                   [core.scratchpad], [core.stats], ends, faults)
+                if faults[0] is not None:
+                    raise faults[0]
+                end = ends[0]
+        except Exception as exc:
+            res.error = exc
+            return
+        _kernel_done(core, kernel, start, end)
 
-    def _cga_individual(self, lanes, ginfo, results, fail) -> None:
-        """Per-core kernel execution for divergent lanes and refused
-        kernels (the engine applies preloads and resolves the trip
-        itself, exactly as in Core.run)."""
-        for i in lanes:
-            core = results[i].core
-            kernel = ginfo[i][0]
-            start = core.cycle
-            try:
-                end = core.cga.run(kernel, core.cycle)
-            except Exception as exc:
-                fail(i, exc)
-                continue
-            core.cycle = end
-            core.kernel_log.append({"kernel": kernel.name, "cycles": end - start})
-            core.stats.cga_cycles += MODE_SWITCH_CYCLES
-            core.cycle += MODE_SWITCH_CYCLES
-
-    def _cga_batch_step(self, fn, trip, lanes, ginfo, results, fail) -> None:
+    def _cga_batch_step(self, sid, trip, lanes, ginfo, results) -> bool:
+        """One batched kernel call for a convergent group; returns False,
+        with no core touched, when the lanes must run solo instead (a
+        lane whose preloads fault only has its error recorded)."""
+        try:
+            fn = self._cga_fn(results[lanes[0]].core, ginfo[lanes[0]][0], sid,
+                              trip, len(lanes))
+        except CgaFault as exc:
+            for i in lanes:
+                results[i].error = exc
+            return True
+        if fn is None:
+            return False
         # Preload faults are structural; detect before mutating any lane
-        # so survivors can still run (per-packet) without double-applied
+        # so the survivors can still run solo without double-applied
         # preload side effects.
-        ready: List[int] = []
         for i in lanes:
             try:
                 results[i].core.cga.check_preloads(ginfo[i][0])
             except CgaFault as exc:
-                fail(i, exc)
-            else:
-                ready.append(i)
-        if len(ready) != len(lanes):
-            self._cga_individual(ready, ginfo, results, fail)
-            return
-        starts = []
-        preload_cycles_s = []
-        start_cycles = []
-        for i in ready:
-            core = results[i].core
-            pre = core.cga.preload(ginfo[i][0])
-            starts.append(core.cycle)
-            preload_cycles_s.append(pre)
-            start_cycles.append(core.cycle + pre)
-        m = len(ready)
-        mcores = [results[i].core for i in ready]
+                results[i].error = exc
+        if any(results[i].error is not None for i in lanes):
+            return False
+        mcores = [results[i].core for i in lanes]
+        starts = [c.cycle for c in mcores]
+        preload_cycles = [c.cga.preload(ginfo[i][0]) for c, i in zip(mcores, lanes)]
+        m = len(lanes)
         ends = [0] * m
         faults: List[object] = [None] * m
         fn(
             [trip] * m,
-            start_cycles,
-            preload_cycles_s,
-            [ginfo[i][1] for i in ready],
+            [s + p for s, p in zip(starts, preload_cycles)],
+            preload_cycles,
+            [ginfo[i][2] for i in lanes],
             [c.cga._out_latch for c in mcores],
             [c.cdrf._regs for c in mcores],
             [c.cprf._regs for c in mcores],
@@ -408,13 +409,17 @@ class BatchProgramRunner:
             [c.stats for c in mcores],
             ends, faults,
         )
-        for k, i in enumerate(ready):
+        for k, i in enumerate(lanes):
             if faults[k] is not None:
-                fail(i, faults[k])
-                continue
-            core = results[i].core
-            core.cycle = ends[k]
-            core.kernel_log.append(
-                {"kernel": ginfo[i][0].name, "cycles": ends[k] - starts[k]})
-            core.stats.cga_cycles += MODE_SWITCH_CYCLES
-            core.cycle += MODE_SWITCH_CYCLES
+                results[i].error = faults[k]
+            else:
+                _kernel_done(mcores[k], ginfo[i][0], starts[k], ends[k])
+        return True
+
+
+def _kernel_done(core: Core, kernel, start: int, end: int) -> None:
+    """Kernel exit (Core._run_kernel): log the kernel, switch back."""
+    core.cycle = end
+    core.kernel_log.append({"kernel": kernel.name, "cycles": end - start})
+    core.stats.cga_cycles += MODE_SWITCH_CYCLES
+    core.cycle += MODE_SWITCH_CYCLES

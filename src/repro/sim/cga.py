@@ -28,7 +28,6 @@ cycle count.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -37,7 +36,6 @@ from repro.isa.bits import MASK32, MASK64
 from repro.isa.opcodes import MAX_OP_LATENCY, OpGroup, group_of, latency_of
 from repro.isa.semantics import execute as exec_semantics
 from repro.sim import memops
-from repro.sim import codegen
 from repro.sim.memory import Scratchpad
 from repro.sim.program import CgaKernel, CgaOp, DstKind, SrcKind, SrcSel
 from repro.sim.regfile import LocalRegisterFile, PredicateFile, RegisterFile
@@ -47,14 +45,6 @@ from repro.trace.events import StallCause
 
 class CgaFault(Exception):
     """Raised on illegal configurations (bad routing, port abuse, caps)."""
-
-
-#: Bound on the per-engine compiled-kernel cache.  A long-lived process
-#: (a fabric worker) linking many ``patch_constants`` program variants
-#: would otherwise pin every kernel it ever ran through the id-keyed
-#: cache; an LRU this size keeps every live receiver region hot while
-#: letting retired variants be collected.
-KERNEL_CACHE_BOUND = 16
 
 
 @dataclass
@@ -86,18 +76,6 @@ class CgaEngine:
         self.stats = stats
         #: Output latches, one per unit; cleared at every kernel entry.
         self._out_latch: List[int] = [0] * arch.n_units
-        #: Compiled-runner LRU keyed by kernel object identity, bounded by
-        #: :data:`KERNEL_CACHE_BOUND`.  Values are ``(kernel, fn, imms)``;
-        #: each entry pins its kernel, so a *live* id can never alias, and
-        #: a recycled id of a collected kernel is caught by the identity
-        #: check.  ``fn is None`` marks a kernel the generator refused
-        #: (static port-pressure proof failed), so every later run falls
-        #: straight back to the reference interpreter.
-        self._compiled: OrderedDict = OrderedDict()
-        #: When True, :meth:`run` uses the generated straight-line runner
-        #: from :mod:`repro.sim.codegen`; when False, the reference
-        #: interpreter (:meth:`run_reference`).
-        self.use_compiled = True
 
     # ------------------------------------------------------------------
 
@@ -189,70 +167,15 @@ class CgaEngine:
 
     # ------------------------------------------------------------------
 
-    def run(self, kernel: CgaKernel, start_cycle: int) -> int:
+    def run_reference(self, kernel: CgaKernel, start_cycle: int) -> int:
         """Execute *kernel*; returns the physical cycle after completion.
 
-        Dispatches to the selected interpreter tier: the generated
-        straight-line runner (default) or the reference interpreter.  Both
-        are bit-identical in architectural state, cycle counts and
-        :class:`ActivityStats` (``tests/sim/test_differential.py``).
-        """
-        if self.use_compiled:
-            return self.run_compiled(kernel, start_cycle)
-        return self.run_reference(kernel, start_cycle)
-
-    def run_compiled(self, kernel: CgaKernel, start_cycle: int) -> int:
-        """Compiled tier: run the kernel's generated function at width 1
-        (one-element structure-of-arrays arguments, see
-        :func:`repro.sim.codegen.cga_batch_runner`).
-
-        Falls back to :meth:`run_reference` (permanently, per kernel) when
-        :mod:`repro.sim.codegen` refuses the kernel, e.g. because it
-        cannot statically prove central-RF port safety.
-        """
-        trip = self.trip_of(kernel)
-        if trip <= 0:
-            return start_cycle
-        kid = id(kernel)
-        entry = self._compiled.get(kid)
-        if entry is not None and entry[0] is not kernel:
-            entry = None  # recycled id of a collected kernel
-        if entry is None:
-            try:
-                fn, imms = codegen.cga_runner(
-                    kernel,
-                    self.arch,
-                    CgaFault,
-                    cdrf_ports=(self.cdrf.read_ports, self.cdrf.write_ports),
-                    cprf_ports=(self.cprf.read_ports, self.cprf.write_ports),
-                )
-            except codegen.CodegenUnsupported:
-                fn = imms = None
-            entry = (kernel, fn, imms)
-            self._compiled[kid] = entry
-            if len(self._compiled) > KERNEL_CACHE_BOUND:
-                self._compiled.popitem(last=False)
-        else:
-            self._compiled.move_to_end(kid)
-        _, fn, imms = entry
-        if fn is None:
-            return self.run_reference(kernel, start_cycle)
-        preload_cycles = self.preload(kernel)
-        ends, faults = [0], [None]
-        fn([trip], [start_cycle + preload_cycles], [preload_cycles], [imms],
-           [self._out_latch], [self.cdrf._regs], [self.cprf._regs],
-           [self.local_rfs], [self.scratchpad], [self.stats], ends, faults)
-        if faults[0] is not None:
-            raise faults[0]
-        return ends[0]
-
-    # ------------------------------------------------------------------
-
-    def run_reference(self, kernel: CgaKernel, start_cycle: int) -> int:
-        """Reference interpreter: the original per-cycle re-decoding loop.
-
-        Kept as the ground truth the compiled tier is differentially
-        tested against; every static fact is re-derived each cycle.
+        The reference interpreter: the original per-cycle re-decoding
+        loop, every static fact re-derived each cycle.  It is the ground
+        truth the generated code (:mod:`repro.sim.codegen`, driven by
+        :mod:`repro.sim.batch`) is differentially tested against, and it
+        runs every kernel of a traced or ``reference`` core and every
+        kernel codegen refuses.
         """
         trip = self.trip_of(kernel)
         if trip <= 0:

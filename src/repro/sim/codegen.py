@@ -14,11 +14,14 @@ function per branch-free segment).
 There is one emitter per engine.  Every generated function is
 lane-batched: it advances ``n_lanes >= 1`` packets back to back through
 structure-of-arrays arguments, with the scratchpad and instruction-cache
-models inlined.  The engines run the width-1 function
-(:func:`cga_runner` / :func:`vliw_runner`); the lockstep driver in
-:mod:`repro.sim.batch` runs every width (:func:`cga_batch_runner` /
-:func:`vliw_batch_runner`).  Generated code carries no tracer hooks, so
-a core with an enabled tracer runs the reference engines instead.
+models inlined.  One driver runs them all: the lockstep runner in
+:mod:`repro.sim.batch` calls :func:`cga_batch_runner` /
+:func:`vliw_batch_runner` at every width, width 1 included (a compiled
+:meth:`~repro.sim.core.Core.run` is a lane of one on it); the engines
+keep only the reference interpreters.  :func:`cga_runner` /
+:func:`vliw_runner` return the same width-1 functions under the names
+profiling tools wrap.  Generated code carries no tracer hooks, so a core
+with an enabled tracer runs the reference loop instead.
 
 Caching is two-level, exactly like the modulo-schedule cache in
 :mod:`repro.compiler.linker`:
@@ -41,8 +44,9 @@ included) to the reference tier at every width
 pressure, which the reference tier checks dynamically through
 :class:`~repro.sim.regfile.RegisterFile`, is checked *statically* at
 generation time; a kernel or bundle whose worst case could overflow the
-ports raises :class:`CodegenUnsupported` and the engine silently falls
-back to the reference tier for that kernel (keeping the dynamic check).
+ports raises :class:`CodegenUnsupported` and the driver silently runs
+that kernel or segment on the reference interpreter (keeping the
+dynamic check).
 """
 
 from __future__ import annotations
@@ -74,7 +78,8 @@ from repro.trace.tracer import get_tracer
 
 class CodegenUnsupported(Exception):
     """The construct cannot be compiled with static port-pressure proof;
-    the engine falls back to the reference tier (which checks dynamically)."""
+    the driver runs it on the reference interpreter (which checks
+    dynamically)."""
 
 
 #: Sentinel marking an empty shift-register slot in generated code.  It
@@ -1368,16 +1373,21 @@ class _CgaGen:
 
 def _cga_function(kernel: CgaKernel, arch: CgaArchitecture, fault,
                   cdrf_ports: Tuple[int, int], cprf_ports: Tuple[int, int],
-                  n_lanes: int, trip: Optional[int]) -> Callable:
+                  n_lanes: int, trip: Optional[int],
+                  signature: Optional[tuple] = None) -> Callable:
     """The ``n_lanes``-wide function of *kernel*, shared by both public
     factories so wrapping one never nests the other.  Width 1 ignores
-    *trip*: engines and single driver lanes share one guarded loop per
+    *trip*: every lane that runs alone shares one guarded loop per
     kernel, since the modem's trip-specialized bodies are 4x the source
     (3.1 vs 0.8 MB), kept ~20 MB more resident per process and ran a
-    warm width-1 packet no faster (0.07-0.11 s either way, 2 cores)."""
+    warm width-1 packet no faster (0.07-0.11 s either way, 2 cores).
+    *signature*, when the caller already holds it, saves re-walking the
+    kernel for the cache key."""
     n_lanes = int(n_lanes)
     trip = int(trip) if trip is not None and trip >= 1 and n_lanes > 1 else None
-    key = ("cga", arch.fingerprint(), n_lanes, trip, cga_signature(kernel))
+    if signature is None:
+        signature = cga_signature(kernel)
+    key = ("cga", arch.fingerprint(), n_lanes, trip, signature)
 
     def gen() -> str:
         return _CgaGen(kernel, arch, fault, cdrf_ports, cprf_ports,
@@ -1394,11 +1404,15 @@ def cga_runner(kernel: CgaKernel, arch: CgaArchitecture, fault,
 
     ``fn`` is the width-1 generated function (see
     :func:`cga_batch_runner` for its arguments), compiled for any trip
-    count — the lockstep driver's single lanes run the same one — and
-    shared across ``patch_constants`` variants through the structural
-    cache key; ``imms`` is this kernel's immediate pool to
+    count and shared across ``patch_constants`` variants through the
+    structural cache key; ``imms`` is this kernel's immediate pool to
     pass at call time.  Raises :class:`CodegenUnsupported` when the
     static port-pressure proof fails, and *fault* for malformed kernels.
+
+    The simulator itself reaches the same function through
+    :func:`cga_batch_runner` at ``n_lanes=1``; this width-1 entry point
+    stays because tools look it up by name (``perfbench/spans.py``
+    wraps it).
     """
     fn = _cga_function(kernel, arch, fault, cdrf_ports, cprf_ports, 1, None)
     return fn, cga_imms(kernel)
@@ -1406,7 +1420,8 @@ def cga_runner(kernel: CgaKernel, arch: CgaArchitecture, fault,
 
 def cga_batch_runner(kernel: CgaKernel, arch: CgaArchitecture, fault,
                      cdrf_ports: Tuple[int, int], cprf_ports: Tuple[int, int],
-                     n_lanes: int, trip: Optional[int] = None):
+                     n_lanes: int, trip: Optional[int] = None,
+                     signature: Optional[tuple] = None):
     """Return the ``n_lanes``-wide generated function for *kernel*.
 
     Same contracts as :func:`cga_runner`.  The function advances
@@ -1427,8 +1442,11 @@ def cga_batch_runner(kernel: CgaKernel, arch: CgaArchitecture, fault,
     trip joins the cache key; trips per kernel come from a small fixed
     set (the region programs bake them in), so the key space stays
     bounded.  At width 1 the trip is ignored (see :func:`cga_runner`).
+    *signature* is :func:`cga_signature` of *kernel*, if the caller
+    already holds it.
     """
-    return _cga_function(kernel, arch, fault, cdrf_ports, cprf_ports, n_lanes, trip)
+    return _cga_function(kernel, arch, fault, cdrf_ports, cprf_ports, n_lanes,
+                         trip, signature)
 
 
 # ----------------------------------------------------------------------
@@ -1946,13 +1964,19 @@ class _VliwGen:
 
 
 def _vliw_function(bundles, start_pc: int, slot_fus, cdrf, cprf,
-                   scratchpad, icache, fault, n_lanes: int):
+                   scratchpad, icache, fault, n_lanes: int,
+                   signature: Optional[tuple] = None):
     """``(fn, end_pc)``: the generated ``n_lanes``-wide function of the
     segment at *start_pc* (shared by both public factories, so wrapping
-    one never nests the other)."""
+    one never nests the other).  *signature*, when the caller already
+    holds it, saves re-walking the segment for its end and cache key."""
     from repro.sim.vliw import StopEvent  # lazy: vliw.py imports this module
 
-    end_pc = vliw_segment_end(bundles, start_pc)
+    if signature is None:
+        end_pc = vliw_segment_end(bundles, start_pc)
+        signature = vliw_signature(bundles, start_pc, end_pc)
+    else:
+        end_pc = start_pc + len(signature[1])  # one entry per bundle
     n_lanes = int(n_lanes)
     l1_geom = (scratchpad.n_banks, scratchpad.size_bytes)
     icache_geom = (icache.n_lines, icache.bundles_per_line, icache.miss_penalty)
@@ -1964,7 +1988,7 @@ def _vliw_function(bundles, start_pc: int, slot_fus, cdrf, cprf,
         (cprf.read_ports, cprf.write_ports),
         l1_geom,
         icache_geom,
-        vliw_signature(bundles, start_pc, end_pc),
+        signature,
     )
 
     def gen() -> str:
@@ -1986,8 +2010,12 @@ def vliw_runner(bundles, start_pc: int, slot_fus, cdrf, cprf, scratchpad,
     ``fn`` is the width-1 generated function (see
     :func:`vliw_batch_runner`); ``imms`` is the segment's immediate
     pool.  Raises :class:`CodegenUnsupported` when the static
-    port-pressure proof fails (the engine pins a fallback-to-reference
-    marker), and *fault* for malformed bundles.
+    port-pressure proof fails, and *fault* for malformed bundles.
+
+    The simulator itself reaches the same function through
+    :func:`vliw_batch_runner` at ``n_lanes=1``; this width-1 entry point
+    stays because tools look it up by name (``perfbench/spans.py``
+    wraps it).
     """
     fn, end_pc = _vliw_function(bundles, start_pc, slot_fus, cdrf, cprf,
                                 scratchpad, icache, fault, 1)
@@ -1995,7 +2023,8 @@ def vliw_runner(bundles, start_pc: int, slot_fus, cdrf, cprf, scratchpad,
 
 
 def vliw_batch_runner(bundles, start_pc: int, slot_fus, cdrf, cprf,
-                      scratchpad, icache, fault, n_lanes: int):
+                      scratchpad, icache, fault, n_lanes: int,
+                      signature: Optional[tuple] = None):
     """Return ``(fn, end_pc)`` — the ``n_lanes``-wide function for the
     straight-line segment at *start_pc* and the segment's exclusive end.
 
@@ -2003,10 +2032,12 @@ def vliw_batch_runner(bundles, start_pc: int, slot_fus, cdrf, cprf,
     cache key because the memory and instruction-cache models are
     inlined into the generated source.  Per-lane immediate pools come
     from the caller via :func:`vliw_imms` over each lane's (possibly
-    ``patch_constants``-patched) bundles.
+    ``patch_constants``-patched) bundles.  *signature* is
+    :func:`vliw_signature` of the segment, if the caller already holds
+    it.
     """
     return _vliw_function(bundles, start_pc, slot_fus, cdrf, cprf,
-                          scratchpad, icache, fault, n_lanes)
+                          scratchpad, icache, fault, n_lanes, signature)
 
 
 def vliw_imms(bundles, start_pc: int, end_pc: int) -> Tuple[int, ...]:

@@ -6,6 +6,14 @@ completion: VLIW execution until a ``cga`` instruction hands a kernel to
 the array, back to VLIW at loop exit, until ``halt`` (sleep state; the
 host may resume) or the end of the instruction stream.
 
+That loop exists twice, once per tier.  A traced or ``reference`` core
+runs it here, on the engines' reference interpreters.  An untraced
+``compiled`` core runs as a lane of one on
+:class:`~repro.sim.batch.BatchProgramRunner`, the one driver of
+generated code, which replicates the loop bit-exactly.
+:meth:`reset` returns a resident core to the state of a fresh one, so a
+long-lived runtime can re-drive it packet after packet.
+
 Profiling regions (the rows of Table 2) are delimited with
 :meth:`region` /  via :class:`RegionProfiler`: statistics snapshots
 around a region yield per-kernel cycle counts and IPC.
@@ -99,12 +107,9 @@ class Core:
             scratchpad=self.scratchpad,
             stats=self.stats,
         )
-        # Generated code has no tracer hooks, so a traced core runs the
-        # reference engines: the choice is made here, before anything
-        # is compiled.
-        use_compiled = interpreter == "compiled" and not self.tracer.enabled
-        self.vliw.use_compiled = use_compiled
-        self.cga.use_compiled = use_compiled
+        #: "compiled" or "reference"; generated code has no tracer hooks,
+        #: so :meth:`run` takes the reference loop while tracing is on.
+        self.interpreter = interpreter
         self.cycle = 0
         self.pc = 0
         self.halted = False
@@ -113,21 +118,35 @@ class Core:
 
     # ------------------------------------------------------------------
 
-    def rebind_program(self, program: Program) -> None:
-        """Point the core at *program* without rebuilding the machine.
-
-        Used by the modem runtime to re-drive resident cores with
-        ``patch_constants`` variants of a linked program.  The VLIW
-        engine's per-pc compile cache holds immediate pools read from the
-        bundle objects, so it is dropped whenever the program object
-        actually changes; rebinding the same object is free and keeps
-        the cache warm.
+    def reset(self, program: Program, image: bytearray) -> None:
+        """Put this core in place into the state a receiver region
+        starts from: a fresh ``Core(arch, program)`` whose scratchpad
+        holds *image* and whose I$ was warmed in pc order.  Fresh cores
+        (``SimReceiver._run_region``) and resident ones
+        (``ModemRuntime``) both start a region here.  Statistics keep
+        accumulating; callers diff snapshots.
         """
-        if program is self.program:
-            return
         self.program = program
         self.vliw.bundles = program.bundles
-        self.vliw._compiled = []
+        self.scratchpad._mem[:] = image
+        bank_free = self.scratchpad._bank_next_free
+        bank_free[:] = [0] * len(bank_free)
+        for regs in (self.cdrf._regs, self.cprf._regs,
+                     *(lrf._regs for lrf in self.local_rfs.values()),
+                     self.cga._out_latch):
+            regs[:] = [0] * len(regs)
+        self.vliw._reg_ready.clear()
+        self.vliw._pred_ready.clear()
+        tags = self.icache._tags
+        tags[:] = [None] * len(tags)
+        self.cycle = 0
+        self.pc = 0
+        self.halted = False
+        self.kernel_log.clear()
+        # Ascending pc order determines the direct-mapped tag state.
+        fetch = self.icache.fetch
+        for pc in range(len(program.bundles)):
+            fetch(pc)
 
     def load_configuration(self, stall_core: bool = False) -> int:
         """DMA-preload all kernels' configuration contexts (accounting only).
@@ -156,6 +175,13 @@ class Core:
         from repro.sim.vliw import VliwFault
 
         tracer = self.tracer
+        if self.interpreter == "compiled" and not tracer.enabled:
+            from repro.sim.batch import BatchProgramRunner  # imports this module
+
+            (lane,) = BatchProgramRunner(max_cycles).run([self])
+            if lane.error is not None:
+                raise lane.error
+            return self.stats.validate()
         while not self.halted:
             if self.cycle > max_cycles:
                 raise SimulationError(
@@ -163,7 +189,8 @@ class Core:
                 )
             segment_start = self.cycle
             try:
-                stop, cycle = self.vliw.run(self.pc, self.cycle, max_cycle=max_cycles)
+                stop, cycle = self.vliw.run_reference(
+                    self.pc, self.cycle, max_cycle=max_cycles)
             except VliwFault as exc:
                 raise SimulationError(str(exc)) from exc
             self.cycle = cycle
@@ -187,7 +214,7 @@ class Core:
         self.stats.cga_cycles += MODE_SWITCH_CYCLES
         self.cycle += MODE_SWITCH_CYCLES
         start = self.cycle
-        self.cycle = self.cga.run(kernel, self.cycle)
+        self.cycle = self.cga.run_reference(kernel, self.cycle)
         self.kernel_log.append({"kernel": kernel.name, "cycles": self.cycle - start})
         # Mode switch out.
         self.stats.cga_cycles += MODE_SWITCH_CYCLES

@@ -24,7 +24,7 @@ from repro.isa.bits import MASK32
 from repro.isa.instruction import Imm, Instruction, PredReg, Reg
 from repro.isa.opcodes import Opcode, OpGroup, group_of, latency_of
 from repro.isa.semantics import execute as exec_semantics
-from repro.sim import codegen, memops
+from repro.sim import memops
 from repro.sim.icache import InstructionCache
 from repro.sim.memory import Scratchpad
 from repro.sim.program import VliwBundle
@@ -73,15 +73,6 @@ class VliwEngine:
         #: Scoreboard: register index -> cycle at which the value is usable.
         self._reg_ready: Dict[int, int] = {}
         self._pred_ready: Dict[int, int] = {}
-        #: Per-PC compiled-segment cache (parallel to ``bundles``; rebuilt
-        #: if the stream length changes): ``None`` = not tried, ``False`` =
-        #: refused (reference fallback), else ``(fn, imms)`` covering the
-        #: segment starting at that PC.
-        self._compiled: List[object] = []
-        #: When True, :meth:`run` uses compiled straight-line segments
-        #: (:mod:`repro.sim.codegen`); when False, the reference
-        #: interpreter (:meth:`run_reference`).
-        self.use_compiled = True
 
     # ------------------------------------------------------------------
 
@@ -115,80 +106,18 @@ class VliwEngine:
 
     # ------------------------------------------------------------------
 
-    def run(
+    def run_reference(
         self, start_pc: int, start_cycle: int, max_cycle: Optional[int] = None
     ) -> Tuple[StopEvent, int]:
         """Execute from *start_pc*; returns (stop event, cycle after stop).
 
-        Dispatches to the selected interpreter tier: compiled
-        straight-line segments (default; they fall back to the reference
-        loop per segment when codegen refuses a construct) or the
-        reference per-cycle loop.  Both tiers are bit-identical.
-        """
-        if self.use_compiled:
-            return self.run_compiled(start_pc, start_cycle, max_cycle)
-        return self.run_reference(start_pc, start_cycle, max_cycle)
-
-    def run_compiled(
-        self, start_pc: int, start_cycle: int, max_cycle: Optional[int] = None
-    ) -> Tuple[StopEvent, int]:
-        """Compiled tier: one generated function per branch-free segment.
-
-        Each segment (straight-line bundles through the first branch or
-        control instruction) is compiled once via
-        :func:`repro.sim.codegen.vliw_runner` and cached per start PC,
-        then called at width 1 with one-element structure-of-arrays
-        arguments (see :func:`repro.sim.codegen.vliw_batch_runner`); a
-        refused segment is pinned to the reference interpreter, which
-        then runs to the next stop event.  Bit-identical to
-        :meth:`run_reference`.
-        """
-        bundles = self.bundles
-        n_bundles = len(bundles)
-        cache = self._compiled
-        if len(cache) != n_bundles:
-            cache = self._compiled = [None] * n_bundles
-        pc = start_pc
-        cycle = start_cycle
-        # Width-1 result slots, reused: each call fills them or faults.
-        stops, next_pcs, cycles_out, faults = [None], [0], [0], [None]
-        while 0 <= pc < n_bundles:
-            entry = cache[pc]
-            if entry is False:
-                return self.run_reference(pc, cycle, max_cycle)
-            if entry is None:
-                try:
-                    entry = codegen.vliw_runner(
-                        bundles, pc, self.slot_fus, self.cdrf, self.cprf,
-                        self.scratchpad, self.icache, VliwFault,
-                    )
-                except codegen.CodegenUnsupported:
-                    cache[pc] = False
-                    return self.run_reference(pc, cycle, max_cycle)
-                cache[pc] = entry
-            fn, imms = entry
-            fn([cycle], max_cycle, [imms], [self.cdrf._regs], [self.cprf._regs],
-               [self._reg_ready], [self._pred_ready], [self.icache],
-               [self.scratchpad], [self.stats], stops, next_pcs, cycles_out,
-               faults)
-            if faults[0] is not None:
-                raise faults[0]
-            pc = next_pcs[0]
-            cycle = cycles_out[0]
-            if stops[0] is not None:
-                return stops[0], cycle
-        return StopEvent("end", next_pc=pc), cycle
-
-    # ------------------------------------------------------------------
-
-    def run_reference(
-        self, start_pc: int, start_cycle: int, max_cycle: Optional[int] = None
-    ) -> Tuple[StopEvent, int]:
-        """Reference interpreter: the original per-cycle re-decoding loop.
-
-        Kept as the ground truth the compiled tier is differentially
-        tested against.  Raises :class:`VliwFault` when *max_cycle* is
-        exceeded (runaway loop protection).
+        The reference interpreter: the original per-cycle re-decoding
+        loop.  It is the ground truth the generated code
+        (:mod:`repro.sim.codegen`, driven by :mod:`repro.sim.batch`) is
+        differentially tested against, and it runs every bundle of a
+        traced or ``reference`` core and every segment codegen refuses.
+        Raises :class:`VliwFault` when *max_cycle* is exceeded (runaway
+        loop protection).
         """
         pc = start_pc
         cycle = start_cycle

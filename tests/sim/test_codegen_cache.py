@@ -1,8 +1,9 @@
-"""Codegen-cache tests: LRU bounds, disk persistence, corruption healing.
+"""Codegen-cache tests: bounded driver caches, disk persistence, corruption healing.
 
 Mirrors ``tests/compiler/test_schedule_cache.py`` for the compiled-tier
-source cache (`src/repro/sim/codegen.py`), plus the regression test for the
-``CgaEngine`` kernel-pinning leak the LRU bound fixes.
+source cache (`src/repro/sim/codegen.py`), plus the regression tests that
+keep a long-lived :class:`~repro.sim.batch.BatchProgramRunner` from
+pinning every kernel it ever ran.
 """
 
 import glob
@@ -21,9 +22,11 @@ from repro.arch import paper_core, small_test_core
 from repro.compiler import KernelBuilder
 from repro.compiler.linker import ProgramLinker, configure_schedule_cache
 from repro.isa import Imm, Instruction, Opcode, Reg
-from repro.sim import CgaContext, CgaKernel, CgaOp, Core, DstSel, Program, SrcSel, VliwBundle
+from repro.sim import (
+    BatchProgramRunner, CgaContext, CgaKernel, CgaOp, Core, DstSel, Program, SrcSel,
+    VliwBundle,
+)
 from repro.sim import codegen
-from repro.sim.cga import KERNEL_CACHE_BOUND
 from repro.sim.memory import MemoryError_
 from repro.sim.program import DstKind, patch_constants
 
@@ -68,39 +71,53 @@ def _template_program():
 
 
 # ----------------------------------------------------------------------
-# Satellite: the kernel-pinning leak is bounded by an LRU now.
+# A long-lived driver must not pin every kernel it ever ran.
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("interpreter", ["compiled"])
-def test_engine_kernel_caches_are_bounded(interpreter):
-    """A long-lived engine fed many ``patch_constants`` variants (the
-    fabric-worker pattern) must not pin every kernel it ever ran."""
-    template = _template_program()
-    core = Core(paper_core(), template, interpreter=interpreter)
-    n = KERNEL_CACHE_BOUND * 2 + 8
-    for value in range(1, n + 1):
+def _run_variants(runner, core, template, values):
+    """Re-drive one resident *core* through *runner* once per
+    ``patch_constants`` variant (the fabric-worker pattern); returns
+    each run's live-out."""
+    seen = []
+    for value in values:
         variant = patch_constants(template, {_SENTINEL: value})
-        end = core.cga.run(variant.kernels[0], core.cycle)
-        assert end > core.cycle
-        assert core.cdrf.peek(10) == 4 * value
-        core.cdrf.poke(10, 0)
-    assert len(core.cga._compiled) <= KERNEL_CACHE_BOUND
-    # Structural sharing still holds: N variants, at most one compile.
-    assert codegen.codegen_stats()["compilations"] <= 1
+        core.reset(variant, bytearray(len(core.scratchpad._mem)))
+        (lane,) = runner.run([core])
+        assert lane.error is None
+        seen.append(core.cdrf.peek(10))
+        del variant, lane  # allow id() reuse for the next variant
+    return seen
+
+
+def test_runner_kernel_caches_are_bounded():
+    """A long-lived runner fed many ``patch_constants`` variants keeps
+    one cache entry per structure and lane slot, and compiles once."""
+    template = _template_program()
+    core = Core(paper_core(), template)
+    runner = BatchProgramRunner()
+    assert _run_variants(runner, core, template, [1]) == [4]
+    compiled = codegen.codegen_stats()["compilations"]
+    assert compiled >= 1
+    values = range(2, 42)
+    assert _run_variants(runner, core, template, values) == [4 * v for v in values]
+    # One kernel slot, two segment starts, one lane: nothing grows with
+    # the number of variants, and the newest variant is all that is pinned.
+    assert len(runner._cga_lane) == 1
+    assert len(runner._vliw_lane) == 2
+    assert len(runner._cga_fns) == 1 and len(runner._vliw_fns) == 2
+    assert len(runner._sig_ids) == 3
+    # Structural sharing still holds: N variants, no further compile.
+    assert codegen.codegen_stats()["compilations"] == compiled
 
 
 def test_recycled_kernel_id_is_not_a_stale_hit():
-    """`id()` reuse after garbage collection must miss, not alias."""
+    """`id()` reuse after garbage collection must miss, not alias: the
+    runner's per-lane memo is guarded by object identity."""
     template = _template_program()
-    core = Core(paper_core(), template, interpreter="compiled")
-    seen = []
-    for value in (5, 9):
-        variant = patch_constants(template, {_SENTINEL: value})
-        core.cga.run(variant.kernels[0], core.cycle)
-        seen.append(core.cdrf.peek(10))
-        del variant  # allow id() reuse for the next variant
-    assert seen == [20, 36]
+    core = Core(paper_core(), template)
+    runner = BatchProgramRunner()
+    assert _run_variants(runner, core, template, (5, 9)) == [20, 36]
 
 
 # ----------------------------------------------------------------------
@@ -117,9 +134,9 @@ def _kernel_fn(name, opcode):
     kernel = CgaKernel(name=name, ii=1, stage_count=1,
                        contexts=[CgaContext(ops={0: op})], trip_count=4)
     program = Program(bundles=_template_program().bundles, kernels={0: kernel})
-    core = Core(paper_core(), program)
-    core.run()
-    ((_kernel, fn, _imms),) = core.cga._compiled.values()
+    runner = BatchProgramRunner()
+    runner.run([Core(paper_core(), program)])
+    (fn,) = runner._cga_fns.values()
     return fn
 
 

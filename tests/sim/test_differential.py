@@ -1,19 +1,19 @@
 """Differential harness: the generated code against the reference tier.
 
 Every program here runs under ``Core(interpreter="reference")`` and
-``Core(interpreter="compiled")`` (the engines call the width-1 generated
-functions), plus the lockstep driver (:mod:`repro.sim.batch` driving the
-same emitter's functions at widths 1, 3 and 4), and the final machine
-state must be **bit-identical** to the reference run: cycle counts,
-every register file, scratchpad memory, and the full
-:class:`~repro.sim.stats.ActivityStats` including per-cause stall
-counters.  This is the correctness contract of the code generator
+``Core(interpreter="compiled")`` (a lane of one on the lockstep driver,
+running the width-1 generated functions), plus the lockstep driver
+(:mod:`repro.sim.batch` driving the same emitter's functions at widths
+1, 3 and 4), and the final machine state must be **bit-identical** to
+the reference run: cycle counts, every register file, scratchpad memory,
+and the full :class:`~repro.sim.stats.ActivityStats` including per-cause
+stall counters.  This is the correctness contract of the code generator
 (`src/repro/sim/codegen.py`): generated code is an optimisation, never a
 semantic change.  The lockstep driver additionally proves its
-divergence story here: ragged widths, per-lane immediate pools, and
-mid-batch faults that fall back to per-packet execution bit-identically.
+divergence story here: ragged widths, per-lane immediate pools,
+divergent trips, and mid-batch faults that stay confined to their lane.
 When codegen refuses a kernel or segment (``CodegenUnsupported``) the
-engines fall back to the reference tier; the forced-fallback tests
+driver runs it on the reference interpreter; the forced-fallback tests
 below hold that path to the same contract.
 """
 
@@ -93,15 +93,14 @@ BATCH_LANES = 3
 def assert_batched_identical(make_core, reference, n_lanes=BATCH_LANES,
                              runner=None):
     """Drive *n_lanes* fresh compiled cores through the batched tier and
-    assert each lane lands bit-identical to *reference* without needing
-    the per-packet fallback.  Returns the lane results."""
+    assert each lane lands bit-identical to *reference* without a
+    fault.  Returns the lane results."""
     lanes = [make_core() for _ in range(n_lanes)]
     if runner is None:
         runner = BatchProgramRunner()
-    results = runner.run(lanes, fresh=lambda i: make_core())
+    results = runner.run(lanes)
     for lane in results:
         assert lane.error is None, "batched lane errored: %r" % (lane.error,)
-        assert not lane.fell_back, "batched lane unexpectedly fell back"
         assert_identical(reference, lane.core)
     return results
 
@@ -319,8 +318,7 @@ def test_cga_kernel_differential(build):
 
 def test_core_accepts_only_the_two_tiers():
     program = Program(bundles=enter_and_halt(), kernels={0: k_accumulator()[0]})
-    core = Core(paper_core(), program)
-    assert core.cga.use_compiled and core.vliw.use_compiled  # the default
+    assert Core(paper_core(), program).interpreter == "compiled"  # the default
     with pytest.raises(ValueError, match="'compiled' or 'reference'"):
         Core(paper_core(), program, interpreter="decoded")
 
@@ -618,7 +616,7 @@ def test_batched_patched_constants_per_lane_pools():
     before = codegen.codegen_stats()["compilations"]
     results = runner.run(lanes)
     for lane, ref, value in zip(results, per_packet, values):
-        assert lane.error is None and not lane.fell_back
+        assert lane.error is None
         assert_identical(ref, lane.core)
         assert lane.core.cdrf.peek(10) == (6 * value) & 0xFFFFFFFF
     # All three variants shared the batch compiles (one VLIW segment fn
@@ -641,15 +639,15 @@ def test_batched_divergent_trip_counts_fall_back_per_packet():
     lanes = [_maker(program, pokes=[(5, trip)])() for trip in trips]
     results = BatchProgramRunner().run(lanes)
     for lane, ref in zip(results, per_packet):
-        assert lane.error is None and not lane.fell_back
+        assert lane.error is None
         assert_identical(ref, lane.core)
 
 
 def test_batched_mid_batch_cga_fault_falls_back():
     """A lane whose kernel faults (preload into a missing local RF — a
     structural property the signature excludes, so the lane still lands
-    in the batch group) is replayed per-packet with the canonical
-    ``CgaFault``; the surviving lanes stay bit-identical."""
+    in the batch group) records the per-packet ``CgaFault``; the
+    surviving lanes run on alone and stay bit-identical."""
     kernel, pokes, mem = k_pipelined_load()
     bad_kernel = CgaKernel(
         name=kernel.name, ii=kernel.ii, stage_count=kernel.stage_count,
@@ -663,22 +661,19 @@ def test_batched_mid_batch_cga_fault_falls_back():
     with pytest.raises(CgaFault) as per_packet_exc:
         _maker(bad_program, pokes, mem, interpreter="reference")().run()
 
-    def fresh(lane):
-        return _maker(bad_program if lane == 1 else program, pokes, mem)()
-
-    lanes = [fresh(i) for i in range(3)]
-    results = BatchProgramRunner().run(lanes, fresh=fresh)
-    assert results[1].fell_back
+    lanes = [_maker(bad_program if i == 1 else program, pokes, mem)()
+             for i in range(3)]
+    results = BatchProgramRunner().run(lanes)
     assert isinstance(results[1].error, CgaFault)
     assert str(results[1].error) == str(per_packet_exc.value)
     for i in (0, 2):
-        assert results[i].error is None and not results[i].fell_back
+        assert results[i].error is None
         assert_identical(reference, results[i].core)
 
 
 def test_batched_mid_segment_memory_fault_falls_back():
     """A data-dependent scratchpad overrun in one lane faults inside the
-    batched VLIW function; the fallback reproduces the per-packet
+    batched VLIW function; the lane records the per-packet
     ``MemoryError_`` while sibling lanes complete batched."""
     bundles = [
         VliwBundle((
@@ -697,24 +692,21 @@ def test_batched_mid_segment_memory_fault_falls_back():
     with pytest.raises(MemoryError_) as per_packet_exc:
         _maker(program, pokes=bad, interpreter="reference")().run()
 
-    def fresh(lane):
-        pokes = bad if lane == 2 else good
-        mem = () if lane == 2 else [(64, 5, 4)]
-        return _maker(program, pokes=pokes, mem=mem)()
-
-    lanes = [fresh(i) for i in range(4)]
-    results = BatchProgramRunner().run(lanes, fresh=fresh)
-    assert results[2].fell_back
+    lanes = [_maker(program, pokes=bad if i == 2 else good,
+                    mem=() if i == 2 else [(64, 5, 4)])()
+             for i in range(4)]
+    results = BatchProgramRunner().run(lanes)
     assert isinstance(results[2].error, MemoryError_)
     assert str(results[2].error) == str(per_packet_exc.value)
     for i in (0, 1, 3):
-        assert results[i].error is None and not results[i].fell_back
+        assert results[i].error is None
         assert_identical(reference, results[i].core)
 
 
-def test_batched_fault_without_fresh_records_error():
-    """Without a ``fresh`` factory the batched-path exception is kept,
-    mapped exactly as ``Core.run`` maps it."""
+def test_batched_fault_in_first_lane_records_error():
+    """A fault in the lane whose kernel the batch function is generated
+    from is kept, mapped exactly as ``Core.run`` maps it, and its
+    siblings still finish."""
     kernel, pokes, mem = k_pipelined_load()
     bad_kernel = CgaKernel(
         name=kernel.name, ii=kernel.ii, stage_count=kernel.stage_count,
@@ -727,7 +719,6 @@ def test_batched_fault_without_fresh_records_error():
              for i in range(3)]
     results = BatchProgramRunner().run(lanes)
     assert isinstance(results[0].error, CgaFault)
-    assert not results[0].fell_back
     assert results[1].error is None and results[2].error is None
 
 
@@ -771,7 +762,8 @@ def _loop_then_kernel_program():
 
 @pytest.mark.parametrize(
     "refused",
-    [("cga_runner",), ("vliw_runner",), ("cga_runner", "vliw_runner"), ("first_segment",)],
+    [("cga_batch_runner",), ("vliw_batch_runner",),
+     ("cga_batch_runner", "vliw_batch_runner"), ("first_segment",)],
     ids=lambda r: "+".join(r),
 )
 def test_codegen_refusal_falls_back_to_reference(monkeypatch, refused):
@@ -787,14 +779,14 @@ def test_codegen_refusal_falls_back_to_reference(monkeypatch, refused):
     assert reference.cdrf.peek(3) == reference.cdrf.peek(20) + 6  # 3+2+1
 
     if refused == ("first_segment",):
-        real = codegen.vliw_runner
+        real = codegen.vliw_batch_runner
 
         def refuse_pc0(bundles, start_pc, *args, **kwargs):
             if start_pc == 0:
                 _refuse()
             return real(bundles, start_pc, *args, **kwargs)
 
-        monkeypatch.setattr(codegen, "vliw_runner", refuse_pc0)
+        monkeypatch.setattr(codegen, "vliw_batch_runner", refuse_pc0)
     else:
         for name in refused:
             monkeypatch.setattr(codegen, name, _refuse)
@@ -802,27 +794,34 @@ def test_codegen_refusal_falls_back_to_reference(monkeypatch, refused):
     core.run()
     assert_identical(core, reference)
 
-    # The engines pinned the refusal instead of retrying codegen.
-    kernel_fns = [fn for _k, fn, _imms in core.cga._compiled.values()]
+    # The same lane of one on an inspectable runner: the refusal is
+    # pinned in its caches instead of retried.
+    runner = BatchProgramRunner()
+    (lane,) = runner.run([make_core()])
+    assert lane.error is None
+    assert_identical(lane.core, reference)
+    kernel_fns = list(runner._cga_fns.values())
     assert kernel_fns and all(
-        (fn is None) == ("cga_runner" in refused) for fn in kernel_fns
+        (fn is None) == ("cga_batch_runner" in refused) for fn in kernel_fns
     )
-    segments = [entry for entry in core.vliw._compiled if entry is not None]
-    if "vliw_runner" in refused:
-        assert segments and all(entry is False for entry in segments)
+    segments = runner._vliw_fns
+    if "vliw_batch_runner" in refused:
+        assert segments and all(fn is None for fn in segments.values())
     elif refused == ("first_segment",):
-        assert core.vliw._compiled[0] is False
-        assert any(entry not in (None, False) for entry in segments)
+        pc0_sid = runner._vliw_lane[(0, 0)][1]
+        assert segments[(pc0_sid, 1)] is None
+        assert any(fn is not None for fn in segments.values())
     else:
-        assert segments and all(entry is not False for entry in segments)
+        assert segments and all(fn is not None for fn in segments.values())
 
 
 @pytest.mark.parametrize("per_packet_refused", [False, True],
                          ids=["to_compiled", "to_reference"])
 def test_batched_refusal_falls_back_per_packet(monkeypatch, per_packet_refused):
-    """Lanes whose batch functions ``codegen`` refuses step per packet
-    (compiled, or reference when that is refused too), bit-identical to
-    an all-reference run and without counting as a fault fallback."""
+    """Lanes whose batch functions ``codegen`` refuses step one by one
+    (on width-1 generated code, or on the reference interpreter when
+    that is refused too), bit-identical to an all-reference run and
+    without a lane error."""
     from repro.sim import codegen
 
     program, pokes, mem = _loop_then_kernel_program()
@@ -830,19 +829,25 @@ def test_batched_refusal_falls_back_per_packet(monkeypatch, per_packet_refused):
     reference = _maker(program, pokes, mem, interpreter="reference")()
     reference.run()
 
-    monkeypatch.setattr(codegen, "cga_batch_runner", _refuse)
-    monkeypatch.setattr(codegen, "vliw_batch_runner", _refuse)
-    if per_packet_refused:
-        monkeypatch.setattr(codegen, "cga_runner", _refuse)
-        monkeypatch.setattr(codegen, "vliw_runner", _refuse)
+    def refusing(name):
+        real = getattr(codegen, name)
+
+        def factory(*args, n_lanes, **kwargs):
+            if n_lanes > 1 or per_packet_refused:
+                _refuse()
+            return real(*args, n_lanes=n_lanes, **kwargs)
+
+        return factory
+
+    for name in ("cga_batch_runner", "vliw_batch_runner"):
+        monkeypatch.setattr(codegen, name, refusing(name))
     runner = BatchProgramRunner()
-    results = runner.run([make_core() for _ in range(BATCH_LANES)],
-                         fresh=lambda i: make_core())
+    results = runner.run([make_core() for _ in range(BATCH_LANES)])
     for lane in results:
-        assert lane.error is None and not lane.fell_back
+        assert lane.error is None
         assert_identical(lane.core, reference)
-        kernel_fns = [fn for _k, fn, _imms in lane.core.cga._compiled.values()]
-        assert kernel_fns and all((fn is None) == per_packet_refused
-                                  for fn in kernel_fns)
-    assert runner._cga_fns and all(fn is None for fn in runner._cga_fns.values())
-    assert runner._vliw_fns and all(fn is None for fn in runner._vliw_fns.values())
+    for fns in (runner._cga_fns, runner._vliw_fns):
+        wide = [fn for key, fn in fns.items() if key[-1] > 1]
+        solo = [fn for key, fn in fns.items() if key[-1] == 1]
+        assert wide and all(fn is None for fn in wide)
+        assert solo and all((fn is None) == per_packet_refused for fn in solo)
